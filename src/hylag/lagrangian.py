@@ -3,8 +3,8 @@
 For an r-graph H and a weight vector y, L(H, y) = sum over edges A of
 prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
 standard simplex (y >= 0, sum y = 1).  This module evaluates L exactly or in
-floats, maximizes it by multistart replicator ascent with a projected-gradient
-fallback, and certifies candidate maximizers three independent ways:
+floats, maximizes it by multistart replicator ascent, and certifies candidate
+maximizers three independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
   L(H_i, y) for i in S equals r * L(H, y), and off-support links cannot beat it;
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, binom, link, link_diff
+from .hypergraph import Hypergraph, binom, is_left_compressed, link, link_diff
 
 __all__ = [
     "SizeError",
@@ -285,46 +285,7 @@ def _replicator_batch(E, n, Y, r, max_iters, value_tol, step_tol,
             stall = np.where(accept, 0, stall)
         if bool(done.all()):
             break
-    return Y, L, G
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(u) + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    w = np.maximum(v - css[rho] / (rho + 1.0), 0.0)
-    return w / w.sum()
-
-
-def _rescue_row(E, n, y, r, cfg) -> np.ndarray:
-    # replicator cannot re-enter a zeroed coordinate; a projected-gradient
-    # step can, after which replicator resumes the ascent.  Budgets are tight:
-    # a rescued row only has to beat its own pre-rescue value to be kept, and
-    # the growth phase after re-entry is geometric -- the long tail is the
-    # same tied-coordinate crawl that is not worth waiting out here.
-    iters = min(cfg.max_iters, 300)
-    for _ in range(4):
-        Y = y[None, :]
-        IDX = np.zeros((1, 1, 1), dtype=np.int64) + E[None, :, :]
-        L, G = _batch_value_partials(E, IDX, n, Y)
-        L, g = float(L[0]), G[0]
-        if (g - r * L).max() <= 1e-9:
-            break
-        alpha, moved = 0.25, False
-        while alpha > 1e-13:
-            y_try = _project_simplex(y + alpha * g)
-            L_try = float(_batch_value_partials(E, IDX, n, y_try[None, :])[0][0])
-            if L_try > L + 1e-15:
-                y, moved = y_try, True
-                break
-            alpha *= 0.5
-        if not moved:
-            break
-        Yc, _, _ = _replicator_batch(E, n, y[None, :], r, iters,
-                                     cfg.value_tol, cfg.step_tol)
-        y = Yc[0]
-    return y
+    return Y, L
 
 
 def _support_min_batch(E, n, Y, L, r, cfg):
@@ -344,8 +305,7 @@ def _support_min_batch(E, n, Y, L, r, cfg):
         tot = Y2.sum(axis=1, keepdims=True)
         ok = tot[:, 0] > 0
         Y2 = np.where(ok[:, None], Y2 / np.where(tot > 0, tot, 1.0), Y)
-        Y2, L2, _ = _replicator_batch(E, n, Y2, r, iters, cfg.value_tol,
-                                      cfg.step_tol)
+        Y2, L2 = _replicator_batch(E, n, Y2, r, iters, cfg.value_tol, cfg.step_tol)
         accept = small.any(axis=1) & ok & (L2 >= L - cfg.drop_tol)
         if not accept.any():
             break
@@ -410,7 +370,6 @@ class SolverConfig:
     value_tol: float = 1e-13
     step_tol: float = 1e-10
     seed: int = 0
-    support_minimization: bool = True
     zero_tol: float = 1e-9
     prune_tol: float = 1e-4
     drop_tol: float = 1e-10
@@ -446,37 +405,16 @@ def _expand_to_full(fr: Sequence[Fraction], supp: tuple[int, ...], n: int) -> We
     return Weighting(full)
 
 
-def _rationalize_compact(y: np.ndarray, max_den: int) -> tuple[Fraction, ...]:
-    fr = [Fraction(float(v)).limit_denominator(max_den) for v in y]
-    total = sum(fr)
-    if total == 0:
-        raise ValueError("degenerate weighting")
-    if total != 1:
-        fr = [f / total for f in fr]
-    return tuple(fr)
-
-
-def _exact_value_compact(H: Hypergraph, supp, fr: Sequence[Fraction]) -> Fraction:
-    pos = {v: i for i, v in enumerate(supp)}
-    total = Fraction(0)
-    for e in H.edges:
-        p = Fraction(1)
-        for v in e:
-            p *= fr[pos[v]]
-        total += p
-    return total
-
-
 def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
     """Best local maximum of L(H, .) over the simplex across cfg.starts runs.
 
     Starts: uniform on support, uniform on a greedy clique, then seeded
-    Dirichlet(1) samples.  Each run ascends by the replicator update with a
-    projected-gradient rescue for off-support violations, then minimizes its
-    support.  Among runs within 1e-10 of the best value the one with minimal
-    support wins, then the lexicographically largest descending weighting.
-    The winner is rationalized and re-evaluated exactly; `value` is the float
-    of that exact certificate.  Deterministic given cfg.seed.
+    Dirichlet(1) samples.  Each run ascends by the replicator update, then
+    minimizes its support.  Among runs within 1e-10 of the best value the one
+    with minimal support wins, then the lexicographically largest descending
+    weighting.  The winner is polished, rationalized and re-evaluated exactly;
+    `value` is the float of that exact certificate.  Deterministic given
+    cfg.seed.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
@@ -498,31 +436,9 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         g = rng.exponential(1.0, k)
         Y0[s_i] = g / g.sum()
 
-    prune = cfg.prune_tol if cfg.support_minimization else 0.0
-    Y, L, G = _replicator_batch(E, k, Y0, r, cfg.max_iters, cfg.value_tol,
-                                cfg.step_tol, prune_tol=prune, drop_tol=cfg.drop_tol)
-    if cfg.support_minimization:
-        Y, L = _support_min_batch(E, k, Y, L, r, cfg)
-        IDX = (np.arange(cfg.starts) * k)[:, None, None] + E[None, :, :]
-        L, G = _batch_value_partials(E, IDX, k, Y)
-
-    # off-support first-order violations: those rows can still improve (only
-    # near-best rows are worth the projected-gradient rescue; a dominated row
-    # would have to climb past the whole gap to change the winner)
-    viol = (G - r * L[:, None]).max(axis=1)
-    for row_i in np.nonzero((viol > 1e-8) & (L >= L.max() - 1e-3))[0]:
-        y_fix = _rescue_row(E, k, Y[row_i], r, cfg)
-        if cfg.support_minimization:
-            Yf, Lf = _support_min_batch(
-                E, k, y_fix[None, :],
-                _batch_value_partials(E, np.zeros((1, 1, 1), dtype=np.int64) + E[None], k, y_fix[None, :])[0],
-                r, cfg)
-            y_fix, L_fix = Yf[0], float(Lf[0])
-        else:
-            IDX1 = np.zeros((1, 1, 1), dtype=np.int64) + E[None, :, :]
-            L_fix = float(_batch_value_partials(E, IDX1, k, y_fix[None, :])[0][0])
-        if L_fix >= L[row_i]:
-            Y[row_i], L[row_i] = y_fix, L_fix
+    Y, L = _replicator_batch(E, k, Y0, r, cfg.max_iters, cfg.value_tol,
+                             cfg.step_tol, prune_tol=cfg.prune_tol, drop_tol=cfg.drop_tol)
+    Y, L = _support_min_batch(E, k, Y, L, r, cfg)
 
     best = float(L.max())
     tie_rows = np.nonzero(L >= best - 1e-10)[0]
@@ -533,26 +449,34 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     y_win = Y[winner]
 
     # canonical form: adopt the descending rearrangement when it does not
-    # lose value (always the case for left-compressed H); decided exactly
-    candidates = [np.sort(y_win)[::-1], y_win]
-    y_polish, _, _ = _replicator_batch(E, k, candidates[0][None, :], r,
-                                       cfg.max_iters, cfg.value_tol, cfg.step_tol,
-                                       prune_tol=prune, drop_tol=cfg.drop_tol)
-    candidates.insert(1, np.sort(y_polish[0])[::-1])
+    # lose value (always the case for left-compressed H); decided exactly.
+    # Otherwise the rearrangement can lose value and the raw winner, which may
+    # still be short of stationarity, gets its own polish; it is scored last so
+    # that it wins only when strictly better.  Separate calls, because a batch
+    # keeps stepping every row until all are done.
+    def polish(y):
+        return _replicator_batch(E, k, y[None, :], r, cfg.max_iters, cfg.value_tol,
+                                 cfg.step_tol, prune_tol=cfg.prune_tol,
+                                 drop_tol=cfg.drop_tol)[0][0]
+
+    y_desc = np.sort(y_win)[::-1]
+    candidates = [y_desc, np.sort(polish(y_desc))[::-1], y_win]
+    if not is_left_compressed(H)[0]:
+        candidates.append(polish(y_win))
+    n = H.max_vertex()
     scored = []
     for idx, vec in enumerate(candidates):
-        fr = _rationalize_compact(vec, cfg.max_denominator)
-        scored.append((_exact_value_compact(H, supp, fr), -idx, fr))
-    val_exact, _, fr = max(scored)
+        fr = Weighting(vec).rationalized(cfg.max_denominator).values
+        w = _expand_to_full(fr, supp, n)
+        scored.append((evaluate(H, w), -idx, w))
+    val_exact, _, w = max(scored)
 
-    n = H.max_vertex()
-    w = _expand_to_full(fr, supp, n)
     res = kkt_residual(H, w)
     return LagrangianResult(
         value=float(val_exact),
         value_exact=val_exact,
         weighting=w,
-        support_size=sum(1 for v in fr if v > 0),
+        support_size=len(w.support),
         kkt_residual=KKTResidual(float(res.on_support), float(res.off_support)),
         method="multistart",
         starts_used=cfg.starts,
@@ -650,19 +574,19 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
         if int(vals[i]) > best_num:
             best_num = int(vals[i])
             best_comp = comp[i].copy()
-    fr = tuple(Fraction(int(c), N) for c in best_comp)
+    fr = [Fraction(int(c), N) for c in best_comp]
     # canonical: sort descending when that is exactly value-preserving
-    fr_sorted = tuple(sorted(fr, reverse=True))
-    if _exact_value_compact(H, supp, fr_sorted) >= Fraction(best_num, N**H.r):
-        fr = fr_sorted
-    val = _exact_value_compact(H, supp, fr)
-    w = _expand_to_full(fr, supp, H.max_vertex())
+    w = _expand_to_full(sorted(fr, reverse=True), supp, H.max_vertex())
+    val = evaluate(H, w)
+    if val < Fraction(best_num, N**H.r):
+        w = _expand_to_full(fr, supp, H.max_vertex())
+        val = evaluate(H, w)
     res = kkt_residual(H, w)
     return LagrangianResult(
         value=float(val),
         value_exact=val,
         weighting=w,
-        support_size=sum(1 for v in fr if v > 0),
+        support_size=len(w.support),
         kkt_residual=KKTResidual(float(res.on_support), float(res.off_support)),
         method="oracle",
         starts_used=0,

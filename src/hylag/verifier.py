@@ -7,7 +7,7 @@ Compression arguments reduce the search to left-compressed candidates
 enumerates exactly once each.  Every candidate gets a multistart solve; any
 value within near_tie_tol of the colex baseline (or above it) is re-checked
 against an exact grid oracle, and the counterexample flag is decided by exact
-rational comparison whenever both sides carry rational certificates.
+rational comparison of the two sides' rational certificates.
 
 The support cap Tmax is a heuristic (minimal clique order plus a slack); a
 report whose best witness uses all Tmax vertices is marked saturated as a
@@ -75,7 +75,6 @@ class VerifyConfig:
     support_slack: int = 2
     oracle_denominator: int = 18
     near_tie_tol: float = 1e-3
-    float_tol: float = 1e-9
     require_pair_covering: bool = False
     max_candidates: int = 200_000
     max_iters: int = 5000
@@ -141,7 +140,7 @@ class VerificationReport:
     witness: Hypergraph
     witness_weighting: Weighting
     counterexample: bool
-    comparison: str  # "exact" | "float"
+    comparison: str  # always "exact": both values are rational certificates
     candidates_examined: int
     support_cap: int
     saturated: bool
@@ -195,6 +194,12 @@ def minimal_clique_order(m: int, r: int) -> int:
     return t
 
 
+def _plateau_window(r: int, t: int) -> tuple[int, int]:
+    """[C(t-1,r), C(t,r) - C(t-2,r-2)]: the m for which the colex value
+    plateaus at lambda([t-1]^{(r)})."""
+    return binom(t - 1, r), binom(t, r) - binom(t - 2, r - 2)
+
+
 def classify_regime(m: int, r: int) -> tuple[int, str]:
     """(t, regime) with t minimal such that m <= C(t,r).
 
@@ -204,7 +209,7 @@ def classify_regime(m: int, r: int) -> tuple[int, str]:
     solve of H^{m,r}.
     """
     t = minimal_clique_order(m, r)
-    if m <= binom(t, r) - binom(t - 2, r - 2):
+    if m <= _plateau_window(r, t)[1]:
         return t, "R1"
     return t, "R2"
 
@@ -278,10 +283,6 @@ def _solve_all(candidates: Sequence[Hypergraph], cfg: VerifyConfig) -> list[Lagr
     return [_solve_args(a) for a in argses]
 
 
-def _exact_of(res: LagrangianResult) -> Fraction:
-    return res.value_exact if res.value_exact is not None else Fraction(res.value)
-
-
 # -- verification core -------------------------------------------------------
 
 
@@ -303,15 +304,15 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
 
     t, regime = classify_regime(m, r)
     if regime == "R1":
-        colex_exact: Fraction | None = clique_lagrangian(t - 1, r)
+        colex_exact = clique_lagrangian(t - 1, r)
     else:
         seg = colex_segment(m, r)
         try:
-            colex_exact = _exact_of(results[candidates.index(seg)])
+            colex_exact = results[candidates.index(seg)].value_exact
         except ValueError:  # filtered out by the pair-covering option
-            colex_exact = _exact_of(
-                _solve_args((seg, cfg.starts, (cfg.seed << 20) + (1 << 20) - 1, cfg.max_iters))
-            )
+            colex_exact = _solve_args(
+                (seg, cfg.starts, (cfg.seed << 20) + (1 << 20) - 1, cfg.max_iters)
+            ).value_exact
     colex_float = float(colex_exact)
 
     # near-tie (and above-baseline) candidates get an exact grid cross-check;
@@ -322,23 +323,16 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
                 orc = grid_oracle(candidates[i], cfg.oracle_denominator)
             except SizeError:
                 continue
-            if _exact_of(orc) > _exact_of(res):
+            if orc.value_exact > res.value_exact:
                 results[i] = orc
 
     order = sorted(
         range(len(candidates)),
-        key=lambda i: (-_exact_of(results[i]), candidates[i].edges),
+        key=lambda i: (-results[i].value_exact, candidates[i].edges),
     )
     best_i = order[0]
     best_res = results[best_i]
-    best_exact = _exact_of(best_res)
-
-    if best_res.value_exact is not None and colex_exact is not None:
-        counterexample = best_exact > colex_exact
-        comparison = "exact"
-    else:
-        counterexample = best_res.value > colex_float + cfg.float_tol
-        comparison = "float"
+    counterexample = best_res.value_exact > colex_exact
 
     diagnostics = None
     if counterexample and r >= 2 and t >= 2:
@@ -356,7 +350,7 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
         witness=candidates[best_i],
         witness_weighting=best_res.weighting,
         counterexample=counterexample,
-        comparison=comparison,
+        comparison="exact",
         candidates_examined=len(candidates),
         support_cap=Tmax,
         saturated=best_res.support_size >= Tmax,
@@ -381,8 +375,7 @@ def verify_range(r: int, t: int, cfg: VerifyConfig | None = None) -> list[Verifi
     [C(t-1,r), C(t,r) - C(t-2,r-2)] of the clique [t-1]^{(r)}."""
     if t < r + 1:
         raise ValueError(f"need t >= r + 1 for a nonempty window, got r={r}, t={t}")
-    lo = binom(t - 1, r)
-    hi = binom(t, r) - binom(t - 2, r - 2)
+    lo, hi = _plateau_window(r, t)
     return [verify_conjecture(m, r, cfg) for m in range(lo, hi + 1)]
 
 
@@ -394,8 +387,7 @@ def restricted_support_verify(
     cfg = cfg or VerifyConfig()
     if t < r + 1:
         raise ValueError(f"need t >= r + 1, got r={r}, t={t}")
-    lo = binom(t - 1, r)
-    hi = binom(t, r) - binom(t - 2, r - 2)
+    lo, hi = _plateau_window(r, t)
     if not lo <= m <= hi:
         raise ValueError(
             f"m={m} outside the restricted-support window [{lo}, {hi}] for (r={r}, t={t})"

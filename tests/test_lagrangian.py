@@ -19,6 +19,7 @@ from hylag import (
     evaluate,
     grid_oracle,
     kkt_residual,
+    left_compress,
     link,
     max_clique_number,
     maximize,
@@ -237,13 +238,35 @@ def test_maximize_edgeless_degenerate():
 
 
 def test_maximize_weighting_descends():
+    # a left-compressed graph has a descending maximizer, and maximize
+    # reports that canonical form
     rng = random.Random(12)
+    cases = []
     for seed in range(6):
         pool = list(itertools.combinations(range(1, 7), 3))
         H = Hypergraph(3, rng.sample(pool, rng.randint(2, 12)))
-        res = maximize(H, SolverConfig(starts=10, seed=seed))
-        vals = [v for v in res.weighting.values if v > 0]
-        assert vals == sorted(vals, reverse=True) or evaluate(H, res.weighting) == res.value_exact
+        cases.append((left_compress(H), SolverConfig(starts=10, seed=seed)))
+    # a polish of the raw best run, if scored beside the rearrangement, would
+    # win here by ~1e-19 from rationalization alone and break the order
+    edges = "1234 1235 1245 1345 1236 1246 1346 1256 1237 1238".split()
+    cases.append((Hypergraph(4, [tuple(map(int, e)) for e in edges]),
+                  SolverConfig(starts=50, seed=114)))
+    for C, cfg in cases:
+        res = maximize(C, cfg)
+        vals = list(res.weighting.values)
+        assert vals == sorted(vals, reverse=True), (C, vals)
+        assert evaluate(C, res.weighting) == res.value_exact
+
+
+def test_maximize_polishes_unsorted_winner():
+    # not left-compressed: the descending rearrangement of the best run loses
+    # value, so the reported weighting is the winner itself, which is only
+    # certified at the CLI's default tolerance once it has been polished
+    H = Hypergraph(3, [(1, 2, 3), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5),
+                       (2, 4, 5), (1, 2, 6), (1, 3, 6), (2, 3, 6), (1, 4, 6), (4, 5, 6)])
+    res = maximize(H, SolverConfig(starts=50, seed=0))
+    assert res.kkt_residual.on_support <= 1e-7
+    assert res.kkt_residual.off_support <= 1e-7
 
 
 def test_maximize_deterministic():
