@@ -546,13 +546,46 @@ def _compositions(N: int, k: int, chunk: int = 1 << 16):
         yield np.diff(aug, axis=1) - 1
 
 
+def _partitions(N: int, k: int) -> np.ndarray:
+    # Non-increasing compositions of N into k parts (partitions of N into at
+    # most k parts, zero-padded), one per row, lexicographically ascending.
+    # Built column by column: each row branches into the values
+    # 0..min(remainder, previous entry), keeping only those whose new
+    # remainder still fits under them in the columns left.
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([N], dtype=np.int64)
+    cap = rem
+    for col in range(k):
+        cnt = np.minimum(rem, cap) + 1
+        parent = np.repeat(np.arange(len(rows)), cnt)
+        v = np.arange(len(parent)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        left = rem[parent] - v
+        keep = left <= v * (k - 1 - col)
+        parent, v = parent[keep], v[keep]
+        rows = np.column_stack([rows[parent], v])
+        rem, cap = left[keep], v
+    return rows
+
+
 def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     """Exact maximum of L over weightings whose entries are multiples of 1/N.
 
-    Exhaustive over all C(N+k-1, k-1) compositions on the support (guarded at
-    1e8 points); integer arithmetic throughout, so the value is exact and is
-    a certified lower bound on lambda(H).  Monotone under grid refinement
-    N | N'.
+    Integer arithmetic throughout, so the value is exact and is a certified
+    lower bound on lambda(H).  Monotone under grid refinement N | N'.
+
+    For a general H every composition of N over the k support vertices is
+    tried.  When H is left-compressed only the non-increasing ones are (the
+    partitions of N into at most k parts; 733 instead of 593,775 for k=7,
+    N=24).  This is exact: in a left-compressed H every edge containing j
+    but not i < j has e - j + i in H, so H_{j\\i} is a subset of H_{i\\j}, and
+    swapping y_i < y_j changes L by (y_j - y_i)(L(H_{i\\j}) - L(H_{j\\i})) >= 0.
+    Swaps stay on the grid, so some grid maximizer is non-increasing.  The
+    support of a left-compressed H is {1..k}, so positions are vertex labels.
+    Among non-increasing grid maximizers the one returned has the fewest
+    positive entries, then is lexicographically smallest.
+
+    The 1e8-point guard counts the full grid C(N+k-1, k-1) either way, so the
+    same calls raise SizeError whatever the shape of H.
     """
     if N < 1:
         raise ValueError("grid denominator N must be >= 1")
@@ -566,14 +599,21 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     if len(H) * N**H.r > 2**62:
         raise SizeError("grid products exceed exact int64 range")
     E, _ = _compile_edges(H)
-    best_num = -1
-    best_comp = None
-    for comp in _compositions(N, k):
+    if is_left_compressed(H)[0]:
+        comp = _partitions(N, k)
         vals = np.prod(comp[:, E], axis=2, dtype=np.int64).sum(axis=1)
-        i = int(np.argmax(vals))
-        if int(vals[i]) > best_num:
-            best_num = int(vals[i])
-            best_comp = comp[i].copy()
+        best_num = int(vals.max())
+        tied = np.flatnonzero(vals == best_num)
+        best_comp = comp[tied[np.argmin((comp[tied] > 0).sum(axis=1))]]
+    else:
+        best_num = -1
+        best_comp = None
+        for comp in _compositions(N, k):
+            vals = np.prod(comp[:, E], axis=2, dtype=np.int64).sum(axis=1)
+            i = int(np.argmax(vals))
+            if int(vals[i]) > best_num:
+                best_num = int(vals[i])
+                best_comp = comp[i].copy()
     fr = [Fraction(int(c), N) for c in best_comp]
     # canonical: sort descending when that is exactly value-preserving
     w = _expand_to_full(sorted(fr, reverse=True), supp, H.max_vertex())

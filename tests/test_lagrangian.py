@@ -1,6 +1,7 @@
 """Evaluation, maximization, and certification of the simplex polynomial."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hylag import (
     clique,
     clique_lagrangian,
     colex_segment,
+    enumerate_left_compressed,
     evaluate,
     grid_oracle,
     kkt_residual,
@@ -23,10 +25,12 @@ from hylag import (
     link,
     max_clique_number,
     maximize,
+    minimal_clique_order,
     motzkin_straus_value,
     partials,
     symmetrize,
 )
+from hylag.lagrangian import _partitions
 
 THIRD = Fraction(1, 3)
 STAR = Hypergraph(3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
@@ -328,6 +332,66 @@ def test_grid_oracle_examples():
     assert res.value_exact == Fraction(4, 81)
     assert res.weighting.values == STAR_MAX
     assert res.method == "oracle"
+    # not left-compressed: no grid maximizer is non-increasing
+    res = grid_oracle(Hypergraph(2, [(1, 4), (2, 3)]), 2)
+    assert res.value_exact == Fraction(1, 4)
+    assert res.weighting.values == (0, Fraction(1, 2), Fraction(1, 2), 0)
+
+
+def _all_compositions(N, k):
+    for bars in itertools.combinations(range(N + k - 1), k - 1):
+        cuts = (-1, *bars, N + k - 1)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+
+
+def _partition_count(n, k):
+    # partitions of n into at most k parts
+    if n == 0:
+        return 1
+    if n < 0 or k == 0:
+        return 0
+    return _partition_count(n, k - 1) + _partition_count(n - k, k)
+
+
+def test_partitions_rows():
+    for N, k in [(1, 1), (7, 1), (2, 5), (3, 4), (6, 6), (9, 4), (24, 7), (18, 8)]:
+        rows = [tuple(row) for row in _partitions(N, k).tolist()]
+        assert len(rows) == _partition_count(N, k)
+        assert len(set(rows)) == len(rows)
+        assert rows == sorted(rows)  # lexicographically ascending
+        for row in rows:
+            assert len(row) == k and sum(row) == N
+            assert list(row) == sorted(row, reverse=True)
+
+
+LEFT_COMPRESSED_SMALL = [
+    *(H for m in range(1, 7) for H in enumerate_left_compressed(m, 3, minimal_clique_order(m, 3) + 2)),
+    *(H for m in range(5, 8) for H in enumerate_left_compressed(m, 4, 7)),
+]
+
+
+@pytest.mark.parametrize("N", [6, 9])
+def test_grid_oracle_left_compressed_matches_full_grid(N):
+    # Brute force over every composition; the oracle only walks the
+    # non-increasing ones, so it must find the same maximum and return the
+    # non-increasing maximizer with the fewest positive entries, then the
+    # lexicographically smallest.
+    for H in LEFT_COMPRESSED_SMALL:
+        k = len(H.support)
+        # N^r * L(H, c/N) in Python integers, exact
+        vals = {
+            c: sum(math.prod(c[v - 1] for v in e) for e in H.edges)
+            for c in _all_compositions(N, k)
+        }
+        best = max(vals.values())
+        pick = min(
+            (c for c, v in vals.items() if v == best and list(c) == sorted(c, reverse=True)),
+            key=lambda c: (sum(x > 0 for x in c), c),
+        )
+        pick = tuple(Fraction(c, N) for c in pick)
+        res = grid_oracle(H, N)
+        assert res.value_exact == evaluate(H, pick) == Fraction(best, N**H.r), H.edges
+        assert res.weighting.values == pick, H.edges
 
 
 def test_grid_oracle_monotone_under_refinement():
