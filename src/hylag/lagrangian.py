@@ -546,25 +546,29 @@ def _compositions(N: int, k: int, chunk: int = 1 << 16):
         yield np.diff(aug, axis=1) - 1
 
 
-def _partitions(N: int, k: int) -> np.ndarray:
+def _partitions(N: int, k: int, chunk: int = 1 << 16):
     # Non-increasing compositions of N into k parts (partitions of N into at
-    # most k parts, zero-padded), one per row, lexicographically ascending.
-    # Built column by column: each row branches into the values
-    # 0..min(remainder, previous entry), keeping only those whose new
-    # remainder still fits under them in the columns left.
-    rows = np.zeros((1, 0), dtype=np.int64)
-    rem = np.array([N], dtype=np.int64)
-    cap = rem
-    for col in range(k):
-        cnt = np.minimum(rem, cap) + 1
-        parent = np.repeat(np.arange(len(rows)), cnt)
-        v = np.arange(len(parent)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        left = rem[parent] - v
-        keep = left <= v * (k - 1 - col)
-        parent, v = parent[keep], v[keep]
-        rows = np.column_stack([rows[parent], v])
-        rem, cap = left[keep], v
-    return rows
+    # most k parts, zero-padded), in blocks of at most `chunk` rows, all rows
+    # lexicographically ascending.  Built column by column, depth first: a
+    # row with remainder rem takes the values ceil(rem / columns left) ..
+    # min(rem, previous entry), exactly those whose new remainder still fits
+    # under them, so no candidate is built and then dropped.
+    def expand(rows, rem, cap):
+        col = rows.shape[1]
+        if col == k:
+            yield rows
+            return
+        lo = -(-rem // (k - col))
+        cnt = np.minimum(rem, cap) - lo + 1
+        end = np.cumsum(cnt)
+        for start in range(0, int(end[-1]), chunk):
+            idx = np.arange(start, min(start + chunk, int(end[-1])))
+            parent = np.searchsorted(end, idx, side="right")
+            v = lo[parent] + idx - (end[parent] - cnt[parent])
+            yield from expand(np.column_stack([rows[parent], v]), rem[parent] - v, v)
+
+    top = np.array([N], dtype=np.int64)
+    yield from expand(np.zeros((1, 0), dtype=np.int64), top, top)
 
 
 def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
@@ -582,7 +586,8 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     Swaps stay on the grid, so some grid maximizer is non-increasing.  The
     support of a left-compressed H is {1..k}, so positions are vertex labels.
     Among non-increasing grid maximizers the one returned has the fewest
-    positive entries, then is lexicographically smallest.
+    positive entries, then is lexicographically smallest.  Either set is
+    walked in blocks of 65,536 points, so memory does not grow with N.
 
     The 1e8-point guard counts the full grid C(N+k-1, k-1) either way, so the
     same calls raise SizeError whatever the shape of H.
@@ -599,21 +604,23 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     if len(H) * N**H.r > 2**62:
         raise SizeError("grid products exceed exact int64 range")
     E, _ = _compile_edges(H)
-    if is_left_compressed(H)[0]:
-        comp = _partitions(N, k)
+    left_compressed = is_left_compressed(H)[0]
+    best_key, best_comp = None, None
+    for comp in _partitions(N, k) if left_compressed else _compositions(N, k):
         vals = np.prod(comp[:, E], axis=2, dtype=np.int64).sum(axis=1)
-        best_num = int(vals.max())
-        tied = np.flatnonzero(vals == best_num)
-        best_comp = comp[tied[np.argmin((comp[tied] > 0).sum(axis=1))]]
-    else:
-        best_num = -1
-        best_comp = None
-        for comp in _compositions(N, k):
-            vals = np.prod(comp[:, E], axis=2, dtype=np.int64).sum(axis=1)
-            i = int(np.argmax(vals))
-            if int(vals[i]) > best_num:
-                best_num = int(vals[i])
-                best_comp = comp[i].copy()
+        tied = np.flatnonzero(vals == vals.max())
+        # ties go to the earlier row of the walk; among partitions (walked in
+        # ascending order) to fewer positive entries first
+        if left_compressed:
+            npos = (comp[tied] > 0).sum(axis=1)
+            i = int(np.argmin(npos))
+            key = (int(vals[tied[i]]), -int(npos[i]))
+        else:
+            i = 0
+            key = (int(vals[tied[0]]), 0)
+        if best_key is None or key > best_key:
+            best_key, best_comp = key, comp[tied[i]].copy()
+    best_num = best_key[0]
     fr = [Fraction(int(c), N) for c in best_comp]
     # canonical: sort descending when that is exactly value-preserving
     w = _expand_to_full(sorted(fr, reverse=True), supp, H.max_vertex())

@@ -1,5 +1,6 @@
 """Evaluation, maximization, and certification of the simplex polynomial."""
 
+import functools
 import itertools
 import math
 import random
@@ -30,6 +31,7 @@ from hylag import (
     partials,
     symmetrize,
 )
+from hylag import lagrangian
 from hylag.lagrangian import _partitions
 
 THIRD = Fraction(1, 3)
@@ -336,6 +338,13 @@ def test_grid_oracle_examples():
     res = grid_oracle(Hypergraph(2, [(1, 4), (2, 3)]), 2)
     assert res.value_exact == Fraction(1, 4)
     assert res.weighting.values == (0, Fraction(1, 2), Fraction(1, 2), 0)
+    # fine grids on a small left-compressed support: the walk is blocked
+    res = grid_oracle(Hypergraph(2, [(1, 2)]), 10**5)
+    assert res.value_exact == Fraction(1, 4)
+    assert res.weighting.values == (Fraction(1, 2), Fraction(1, 2))
+    res = grid_oracle(clique(3, 2), 3000)
+    assert res.value_exact == THIRD
+    assert res.weighting.values == (THIRD, THIRD, THIRD)
 
 
 def _all_compositions(N, k):
@@ -355,13 +364,17 @@ def _partition_count(n, k):
 
 def test_partitions_rows():
     for N, k in [(1, 1), (7, 1), (2, 5), (3, 4), (6, 6), (9, 4), (24, 7), (18, 8)]:
-        rows = [tuple(row) for row in _partitions(N, k).tolist()]
+        rows = [tuple(row) for block in _partitions(N, k) for row in block.tolist()]
         assert len(rows) == _partition_count(N, k)
         assert len(set(rows)) == len(rows)
         assert rows == sorted(rows)  # lexicographically ascending
         for row in rows:
             assert len(row) == k and sum(row) == N
             assert list(row) == sorted(row, reverse=True)
+        # small blocks split rows and value ranges alike, same rows in order
+        blocks = list(_partitions(N, k, chunk=3))
+        assert all(0 < len(block) <= 3 for block in blocks)
+        assert [tuple(row) for block in blocks for row in block.tolist()] == rows
 
 
 LEFT_COMPRESSED_SMALL = [
@@ -371,11 +384,12 @@ LEFT_COMPRESSED_SMALL = [
 
 
 @pytest.mark.parametrize("N", [6, 9])
-def test_grid_oracle_left_compressed_matches_full_grid(N):
+def test_grid_oracle_left_compressed_matches_full_grid(N, monkeypatch):
     # Brute force over every composition; the oracle only walks the
     # non-increasing ones, so it must find the same maximum and return the
     # non-increasing maximizer with the fewest positive entries, then the
-    # lexicographically smallest.
+    # lexicographically smallest, also when the walk is split into blocks.
+    picks = []
     for H in LEFT_COMPRESSED_SMALL:
         k = len(H.support)
         # N^r * L(H, c/N) in Python integers, exact
@@ -389,9 +403,14 @@ def test_grid_oracle_left_compressed_matches_full_grid(N):
             key=lambda c: (sum(x > 0 for x in c), c),
         )
         pick = tuple(Fraction(c, N) for c in pick)
-        res = grid_oracle(H, N)
-        assert res.value_exact == evaluate(H, pick) == Fraction(best, N**H.r), H.edges
-        assert res.weighting.values == pick, H.edges
+        assert evaluate(H, pick) == Fraction(best, N**H.r)
+        picks.append(pick)
+    for chunk in (1 << 16, 2):
+        monkeypatch.setattr(lagrangian, "_partitions", functools.partial(_partitions, chunk=chunk))
+        for H, pick in zip(LEFT_COMPRESSED_SMALL, picks):
+            res = grid_oracle(H, N)
+            assert res.value_exact == evaluate(H, pick), (chunk, H.edges)
+            assert res.weighting.values == pick, (chunk, H.edges)
 
 
 def test_grid_oracle_monotone_under_refinement():
