@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Maximize a few Lagrangians and inspect the certificates that come back.
 
-The solver is numeric (multistart replicator ascent) but tries to rationalize
-its answer; when that works the result carries an exact value and an exact
-weighting, and the KKT residuals measure stationarity directly.
+The solver is numeric: a multistart replicator burn-in, then Newton's method
+on each run's face system (all support links equal, weights summing to 1).
+It then tries to rationalize its answer; when that works the result carries
+an exact value and an exact weighting, and the KKT residuals measure
+stationarity directly.
 """
 
 from hylag import SolverConfig, clique, clique_lagrangian, colex_segment, maximize

@@ -3,8 +3,9 @@
 For an r-graph H and a weight vector y, L(H, y) = sum over edges A of
 prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
 standard simplex (y >= 0, sum y = 1).  This module evaluates L exactly or in
-floats, maximizes it by multistart replicator ascent, and certifies candidate
-maximizers three independent ways:
+floats, maximizes it by a multistart replicator burn-in finished by Newton's
+method on each run's face, and certifies candidate maximizers three
+independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
   L(H_i, y) for i in S equals r * L(H, y), and off-support links cannot beat it;
@@ -27,6 +28,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .hypergraph import Hypergraph, binom, is_left_compressed, link, link_diff
+
+VALUE_TOL = 1e-11  # burn-in: a row is done once a step gains less than this
+ZERO_TOL = 1e-9  # weights below this count as off the support
+DROP_TOL = 1e-15  # the value a support drop may lose to rounding
+MAX_DENOMINATOR = 10**6  # continued-fraction bound of reported weights
 
 __all__ = [
     "SizeError",
@@ -122,7 +128,7 @@ class Weighting:
     def sorted_descending(self) -> "Weighting":
         return Weighting(sorted(self.values, reverse=True))
 
-    def rationalized(self, max_denominator: int = 10**6) -> "Weighting":
+    def rationalized(self, max_denominator: int = MAX_DENOMINATOR) -> "Weighting":
         """Exact twin: continued-fraction each entry, renormalize to sum 1."""
         if self.is_exact:
             return self
@@ -227,91 +233,86 @@ def _batch_value_partials(E: np.ndarray, IDX: np.ndarray, n: int, Y: np.ndarray)
     return L, G
 
 
-def _replicator_batch(E, n, Y, r, max_iters, value_tol, step_tol,
-                      stall_limit=40, prune_tol=0.0, drop_tol=1e-10):
+def _replicator_batch(E, n, Y, r, max_iters):
     """Multiplicative ascent y_i <- y_i L(H_i,y) / (r L(H,y)), batched by row.
 
     The objective is a polynomial with nonnegative coefficients, so each step
     cannot decrease L (Baum-Eagon); fixpoints are exactly the points where
-    all on-support links are equalized to r L.
-
-    A coordinate that is exactly tied at the limit decays like 1/iteration,
-    so a row carrying one improves by O(1/k^2) forever -- too fast to look
-    stagnant, too slow to finish.  With prune_tol > 0 the loop periodically
-    tries zeroing each row's smallest positive coordinate, keeping the cut
-    only when the value survives within drop_tol; rows whose value has
-    stagnated for stall_limit steps while still moving are finished as-is
-    (plateau drift at constant L).
+    all on-support links are equalized to r L.  Every start carries an edge,
+    so r L > 0.  The loop ends after max_iters steps, or once every row's
+    last step gained less than VALUE_TOL: Newton finishes the rows.
     """
     s = Y.shape[0]
-    rowsel = np.arange(s)
-    IDX = (rowsel * n)[:, None, None] + E[None, :, :]
+    IDX = (np.arange(s) * n)[:, None, None] + E[None, :, :]
     L, G = _batch_value_partials(E, IDX, n, Y)
-    stall = np.zeros(s, dtype=np.int64)
-    done = np.zeros(s, dtype=bool)
-    for it in range(max_iters):
-        denom = r * L
-        safe = denom > 0
-        scale = np.where(safe, denom, 1.0)
-        Ynew = np.where(safe[:, None], Y * G / scale[:, None], Y)
-        tot = Ynew.sum(axis=1, keepdims=True)
-        np.divide(Ynew, tot, out=Ynew, where=tot > 0)
+    for _ in range(max_iters):
+        Ynew = Y * G / (r * L)[:, None]
+        Ynew /= Ynew.sum(axis=1, keepdims=True)
         Lnew, Gnew = _batch_value_partials(E, IDX, n, Ynew)
         worse = Lnew < L
         if worse.any():
             Ynew[worse] = Y[worse]
             Lnew[worse] = L[worse]
             Gnew[worse] = G[worse]
-        step = np.abs(Ynew - Y).max(axis=1)
-        impr = Lnew - L
+        done = bool((Lnew - L < VALUE_TOL).all())
         Y, L, G = Ynew, Lnew, Gnew
-        flat = impr < value_tol
-        stall = np.where(flat, stall + 1, 0)
-        done |= flat & ((step < step_tol) | (stall >= stall_limit))
-        if prune_tol > 0 and (it & 63) == 63 and not bool(done.all()):
-            masked = np.where(Y > 0, Y, np.inf)
-            jmin = masked.argmin(axis=1)
-            ymin = Y[rowsel, jmin]
-            Y2 = Y.copy()
-            Y2[rowsel, jmin] = 0.0
-            tot2 = Y2.sum(axis=1, keepdims=True)
-            ok = ~done & (ymin > 0) & (ymin < 0.1) & (tot2[:, 0] > 0)
-            Y2 = np.where(ok[:, None], Y2 / np.where(tot2 > 0, tot2, 1.0), Y)
-            L2, G2 = _batch_value_partials(E, IDX, n, Y2)
-            accept = ok & (L2 >= L - drop_tol)
-            Y = np.where(accept[:, None], Y2, Y)
-            L = np.where(accept, L2, L)
-            G = np.where(accept[:, None], G2, G)
-            stall = np.where(accept, 0, stall)
-        if bool(done.all()):
+        if done:
             break
     return Y, L
 
 
-def _support_min_batch(E, n, Y, L, r, cfg):
-    # try zeroing weights below prune_tol, renormalize, reconverge; keep per
-    # row only if the value survives (drop <= drop_tol).  The threshold is
-    # deliberately coarse: exactly-tied coordinates decay like 1/iteration
-    # under the replicator, so waiting for them to underflow is hopeless, but
-    # cutting them is value-guarded and the face restart reconverges fast.
-    # The reconverge is capped: rows arrive nearly converged, so a row that
-    # has not settled within the cap is in a crawl and keeps its guard anyway.
-    iters = min(cfg.max_iters, 600)
-    for _ in range(n):
-        small = (Y > 0) & (Y < cfg.prune_tol)
-        if not small.any():
-            break
-        Y2 = np.where(Y < cfg.prune_tol, 0.0, Y)
-        tot = Y2.sum(axis=1, keepdims=True)
-        ok = tot[:, 0] > 0
-        Y2 = np.where(ok[:, None], Y2 / np.where(tot > 0, tot, 1.0), Y)
-        Y2, L2 = _replicator_batch(E, n, Y2, r, iters, cfg.value_tol, cfg.step_tol)
-        accept = small.any(axis=1) & ok & (L2 >= L - cfg.drop_tol)
-        if not accept.any():
-            break
-        Y = np.where(accept[:, None], Y2, Y)
-        L = np.where(accept, L2, L)
-    return Y, L
+def _newton(E, n, r, z, S):
+    # Newton on [L(H_i, z) - mu for i in S; sum z - 1] from z (zero off S).
+    # None if an iterate leaves [-2, 2]^n, 50 steps do not settle, or the
+    # value ends below the start's (a far stationary point)
+    k = int(S.sum())
+    A = np.zeros((k + 1, k + 1))
+    A[:k, k] = -1.0
+    A[k, :k] = 1.0
+    # row 1+j of z + D raises z_j by 1; links are affine in each weight, so
+    # its links minus row 0's are the pair links L(H_ij, z), the Jacobian
+    D = np.vstack([np.zeros(n), np.eye(n)])
+    IDX = (np.arange(n + 1) * n)[:, None, None] + E[None, :, :]
+    L, G = _batch_value_partials(E, IDX, n, z + D)
+    start = L[0]
+    mu = r * start
+    for _ in range(50):
+        A[:k, :k] = (G[1:] - G[0])[np.ix_(S, S)]
+        # least squares: on a flat face A is singular; take the shortest step
+        d = np.linalg.lstsq(A, np.append(mu - G[0, S], 1.0 - z.sum()), rcond=None)[0]
+        z[S] += d[:k]
+        mu += d[k]
+        if not np.abs(z).max() <= 2.0:
+            return None
+        L, G = _batch_value_partials(E, IDX, n, z + D)
+        if np.abs(d).max() < 1e-14:
+            return (z, float(L[0])) if L[0] >= start - DROP_TOL else None
+    return None
+
+
+def _newton_face(E, n, r, y):
+    # solve the face system on the support S of y, each time from y: weights
+    # the solution drives negative leave S; when _newton fails, the smallest
+    # weight of y does.  (z, L(H, z)) with z > 0 on S, or None if S empties
+    S = y > 0
+    while S.any():
+        sol = _newton(E, n, r, np.where(S, y, 0.0) / y[S].sum(), S)
+        if sol is None:
+            S[np.where(S, y, np.inf).argmin()] = False
+        elif (sol[0][S] > 0).all():
+            return sol
+        else:
+            S &= sol[0] > 0
+    return None
+
+
+def _distinct(Y, rows) -> list[int]:
+    # the first of the given rows of Y within 1e-6 (max norm) of each other
+    out: list[int] = []
+    for t in rows:
+        if not out or np.abs(Y[out] - Y[t]).max(axis=1).min() >= 1e-6:
+            out.append(t)
+    return out
 
 
 def _greedy_clique(H: Hypergraph) -> list[int]:
@@ -366,23 +367,14 @@ class LagrangianResult:
 @dataclass(frozen=True)
 class SolverConfig:
     starts: int = 50
-    max_iters: int = 5000
-    value_tol: float = 1e-13
-    step_tol: float = 1e-10
+    max_iters: int = 200  # replicator burn-in steps before the Newton finish
     seed: int = 0
-    zero_tol: float = 1e-9
-    prune_tol: float = 1e-4
-    drop_tol: float = 1e-10
-    max_denominator: int = 10**6
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if min(self.value_tol, self.step_tol, self.zero_tol, self.prune_tol,
-               self.drop_tol) <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 def _degenerate_result(seed) -> LagrangianResult:
@@ -409,12 +401,16 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     """Best local maximum of L(H, .) over the simplex across cfg.starts runs.
 
     Starts: uniform on support, uniform on a greedy clique, then seeded
-    Dirichlet(1) samples.  Each run ascends by the replicator update, then
-    minimizes its support.  Among runs within 1e-10 of the best value the one
-    with minimal support wins, then the lexicographically largest descending
-    weighting.  The winner is polished, rationalized and re-evaluated exactly;
-    `value` is the float of that exact certificate.  Deterministic given
-    cfg.seed.
+    Dirichlet(1) samples.  A batched replicator burn-in of at most
+    cfg.max_iters steps brings each run near a face; Newton's method then
+    solves each distinct run's face system, L(H_i, y) = r L(H, y) on the
+    support and sum y = 1, dropping weights it drives negative.  Runs within
+    1e-10 of the best value drop their smallest weight while the value holds
+    to rounding, so a flat face yields a point of minimal support.  The run
+    with the fewest positive weights wins, then the lexicographically largest
+    descending weighting.  The winner is rationalized and re-evaluated
+    exactly; `value` is the float of that exact certificate.  Deterministic
+    given cfg.seed.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
@@ -436,37 +432,41 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         g = rng.exponential(1.0, k)
         Y0[s_i] = g / g.sum()
 
-    Y, L = _replicator_batch(E, k, Y0, r, cfg.max_iters, cfg.value_tol,
-                             cfg.step_tol, prune_tol=cfg.prune_tol, drop_tol=cfg.drop_tol)
-    Y, L = _support_min_batch(E, k, Y, L, r, cfg)
+    Y, L = _replicator_batch(E, k, Y0, r, cfg.max_iters)
 
-    best = float(L.max())
-    tie_rows = np.nonzero(L >= best - 1e-10)[0]
-    supp_counts = (Y[tie_rows] > cfg.zero_tol).sum(axis=1)
-    min_supp = supp_counts.min()
-    finalists = [int(t) for t, c in zip(tie_rows, supp_counts) if c == min_supp]
-    winner = max(finalists, key=lambda t: (tuple(sorted(Y[t], reverse=True)), -t))
-    y_win = Y[winner]
+    # finish each distinct row on its face; keep the burn-in row if Newton fails
+    rows = _distinct(Y, range(cfg.starts))
+    for t in rows:
+        sol = _newton_face(E, k, r, np.where(Y[t] > ZERO_TOL, Y[t], 0.0))
+        if sol is not None:
+            Y[t], L[t] = sol
+
+    # rows tied with the best shed their smallest weight, one a round, while
+    # the value holds to rounding; a row that meets another stops shedding
+    best = float(L[rows].max())
+    tie_rows = shedding = _distinct(Y, [t for t in rows if L[t] >= best - 1e-10])
+    while shedding:
+        shed = []
+        for t in shedding:
+            y = Y[t].copy()
+            y[np.where(y > 0, y, np.inf).argmin()] = 0.0
+            sol = _newton_face(E, k, r, y)
+            if sol is not None and sol[1] >= L[t] - DROP_TOL:
+                Y[t], L[t] = sol
+                shed.append(t)
+        shedding = _distinct(Y, shed)
+
+    # fewest weights above ZERO_TOL, then the largest descending weighting
+    y_win = Y[max(tie_rows, key=lambda t: (-(Y[t] > ZERO_TOL).sum(),
+                                           tuple(sorted(Y[t], reverse=True)), -t))]
 
     # canonical form: adopt the descending rearrangement when it does not
-    # lose value (always the case for left-compressed H); decided exactly.
-    # Otherwise the rearrangement can lose value and the raw winner, which may
-    # still be short of stationarity, gets its own polish; it is scored last so
-    # that it wins only when strictly better.  Separate calls, because a batch
-    # keeps stepping every row until all are done.
-    def polish(y):
-        return _replicator_batch(E, k, y[None, :], r, cfg.max_iters, cfg.value_tol,
-                                 cfg.step_tol, prune_tol=cfg.prune_tol,
-                                 drop_tol=cfg.drop_tol)[0][0]
-
-    y_desc = np.sort(y_win)[::-1]
-    candidates = [y_desc, np.sort(polish(y_desc))[::-1], y_win]
-    if not is_left_compressed(H)[0]:
-        candidates.append(polish(y_win))
+    # lose value (always the case for left-compressed H), decided exactly;
+    # the raw winner is scored last, so it wins only when strictly better
     n = H.max_vertex()
     scored = []
-    for idx, vec in enumerate(candidates):
-        fr = Weighting(vec).rationalized(cfg.max_denominator).values
+    for idx, vec in enumerate((np.sort(y_win)[::-1], y_win)):
+        fr = Weighting(vec).rationalized().values
         w = _expand_to_full(fr, supp, n)
         scored.append((evaluate(H, w), -idx, w))
     val_exact, _, w = max(scored)

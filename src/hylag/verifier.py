@@ -77,7 +77,6 @@ class VerifyConfig:
     near_tie_tol: float = 1e-3
     require_pair_covering: bool = False
     max_candidates: int = 200_000
-    max_iters: int = 5000
     jobs: int = 1
 
     def __post_init__(self):
@@ -267,13 +266,13 @@ def enumerate_left_compressed(
 
 
 def _solve_args(args) -> LagrangianResult:
-    H, starts, seed, max_iters = args
-    return maximize(H, SolverConfig(starts=starts, seed=seed, max_iters=max_iters))
+    H, starts, seed = args
+    return maximize(H, SolverConfig(starts=starts, seed=seed))
 
 
 def _solve_all(candidates: Sequence[Hypergraph], cfg: VerifyConfig) -> list[LagrangianResult]:
     argses = [
-        (H, cfg.starts, (cfg.seed << 20) + i, cfg.max_iters)
+        (H, cfg.starts, (cfg.seed << 20) + i)
         for i, H in enumerate(candidates)
     ]
     if cfg.jobs > 1 and len(argses) > 1:
@@ -311,7 +310,7 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
             colex_exact = results[candidates.index(seg)].value_exact
         except ValueError:  # filtered out by the pair-covering option
             colex_exact = _solve_args(
-                (seg, cfg.starts, (cfg.seed << 20) + (1 << 20) - 1, cfg.max_iters)
+                (seg, cfg.starts, (cfg.seed << 20) + (1 << 20) - 1)
             ).value_exact
     colex_float = float(colex_exact)
 

@@ -102,14 +102,24 @@ def test_lambda_with_oracle(tmp_path, capsys):
 
 
 def test_lambda_uncertified_exit(tmp_path, capsys):
-    # the maximizer of H^{9,3} is irrational: the rationalized certificate
-    # carries a ~3e-10 stationarity residual, which an absurd tolerance flags
+    # the maximizer of H^{9,3} is irrational, so its rational certificate
+    # always carries a positive stationarity residual, which --tol 0 flags
     path = write_graph(tmp_path, colex_segment(9, 3))
     code, stdout, _ = run_main(
-        capsys, "lambda", "--input", path, "--starts", "12", "--tol", "1e-12"
+        capsys, "lambda", "--input", path, "--starts", "12", "--tol", "0"
     )
     assert code == 3
-    assert json.loads(stdout)["kkt_on_support"] > 1e-12
+    assert json.loads(stdout)["kkt_on_support"] > 0
+
+
+def test_lambda_crawl_instance_certified(tmp_path, capsys):
+    # vertex 6 is exactly tied at the maximizer; a replicator finish alone
+    # leaves its weight decaying and the certificate 1.3e-6 short (exit 3)
+    H = Hypergraph(4, [tuple(map(int, e)) for e in
+                       "1234 1235 1245 1345 1236 1246 1256 1237 1247 1257".split()])
+    code, stdout, _ = run_main(capsys, "lambda", "--input", write_graph(tmp_path, H))
+    assert code == 0
+    assert json.loads(stdout)["value"] == "27/4096"
 
 
 def test_lambda_missing_file(capsys):

@@ -252,8 +252,8 @@ def test_maximize_weighting_descends():
         pool = list(itertools.combinations(range(1, 7), 3))
         H = Hypergraph(3, rng.sample(pool, rng.randint(2, 12)))
         cases.append((left_compress(H), SolverConfig(starts=10, seed=seed)))
-    # a polish of the raw best run, if scored beside the rearrangement, would
-    # win here by ~1e-19 from rationalization alone and break the order
+    # the raw best run, scored beside its rearrangement, could win here by
+    # ~1e-19 from rationalization alone and break the order
     edges = "1234 1235 1245 1345 1236 1246 1346 1256 1237 1238".split()
     cases.append((Hypergraph(4, [tuple(map(int, e)) for e in edges]),
                   SolverConfig(starts=50, seed=114)))
@@ -266,11 +266,50 @@ def test_maximize_weighting_descends():
 
 def test_maximize_polishes_unsorted_winner():
     # not left-compressed: the descending rearrangement of the best run loses
-    # value, so the reported weighting is the winner itself, which is only
-    # certified at the CLI's default tolerance once it has been polished
+    # value, so the reported weighting is the winner itself, and it must be
+    # certified at the CLI's default tolerance without the rearrangement
     H = Hypergraph(3, [(1, 2, 3), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5),
                        (2, 4, 5), (1, 2, 6), (1, 3, 6), (2, 3, 6), (1, 4, 6), (4, 5, 6)])
     res = maximize(H, SolverConfig(starts=50, seed=0))
+    assert res.kkt_residual.on_support <= 1e-7
+    assert res.kkt_residual.off_support <= 1e-7
+
+
+CRAWL = "1234 1235 1245 1345 1236 1246 1256 1237 1247 1257"
+
+
+def test_maximize_finishes_crawl_family():
+    # each maximizer has a vertex exactly tied with the support: under the
+    # replicator its weight decays like 1/iteration, so only the Newton
+    # finish on the face reaches the exact point
+    graphs = [Hypergraph(4, [tuple(map(int, e)) for e in edges.split()])
+              for edges in (CRAWL, CRAWL + " 1238 1248 1258")]
+    graphs += [list(enumerate_left_compressed(m, 4, 8))[i] for m, i in ((7, 3), (8, 6), (9, 11))]
+    for H in graphs:
+        res = maximize(H)
+        assert res.value_exact == Fraction(27, 4096), H
+        assert res.kkt_residual.on_support == 0, H
+
+
+def test_maximize_flat_face_minimal_support():
+    # vertices 4 and 5 are twins: any split of 2/9 between them gives 4/81,
+    # and maximize reports the split with the fewest positive weights
+    H = Hypergraph(3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 5), (1, 3, 5), (1, 2, 6)])
+    res = maximize(H)
+    assert res.value_exact == Fraction(4, 81)
+    assert res.weighting.values == STAR_MAX + (0, 0)
+
+
+def test_maximize_rejects_far_stationary_point():
+    # left-compressed, r=4: the burn-in leaves a decaying weight on vertex 7,
+    # and Newton on the face that keeps it settles far away, at a stationary
+    # point below the start; taken as the finish, the report would be the
+    # uncertified K5 point of value 1/125
+    edges = ("1234 1235 1245 1345 2345 1236 1246 1346 1256 1356 "
+             "1237 1247 1347 1257 1267 1238 1248 1258 1239 1249")
+    H = Hypergraph(4, [tuple(map(int, e)) for e in edges.split()])
+    res = maximize(H)
+    assert res.value > 0.0083938
     assert res.kkt_residual.on_support <= 1e-7
     assert res.kkt_residual.off_support <= 1e-7
 
@@ -320,8 +359,6 @@ def test_solver_config_validation():
         SolverConfig(starts=0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_tol=0.0)
 
 
 # -- grid oracle -------------------------------------------------------------------
