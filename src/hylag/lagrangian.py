@@ -4,8 +4,8 @@ For an r-graph H and a weight vector y, L(H, y) = sum over edges A of
 prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
 standard simplex (y >= 0, sum y = 1).  This module evaluates L exactly or in
 floats, maximizes it by a multistart replicator burn-in finished by Newton's
-method on each run's face, and certifies candidate maximizers three
-independent ways:
+method on each run's face (all runs stepped together, one stacked solve per
+step), and certifies candidate maximizers three independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
   L(H_i, y) for i in S equals r * L(H, y), and off-support links cannot beat it;
@@ -261,57 +261,96 @@ def _replicator_batch(E, n, Y, r, max_iters):
     return Y, L
 
 
-def _newton(E, n, r, z, S):
-    # Newton on [L(H_i, z) - mu for i in S; sum z - 1] from z (zero off S).
-    # None if an iterate leaves [-2, 2]^n, 50 steps do not settle, or the
-    # value ends below the start's (a far stationary point)
-    k = int(S.sum())
-    A = np.zeros((k + 1, k + 1))
-    A[:k, k] = -1.0
-    A[k, :k] = 1.0
+def _newton_batch(E, n, r, Z, S):
+    # Newton on each row's [L(H_i, z) - mu for i in S; sum z - 1] from Z (zero
+    # off S), all live rows a step at a time.  Each off-support coordinate gets
+    # an identity row, so it decouples, and the pseudo-inverse step is each
+    # row's least-squares step: on a flat face the shortest one.  A row fails
+    # if an iterate leaves [-2, 2]^n, 50 steps do not settle, or the value ends
+    # below the start's (a far stationary point).  Returns (Z, L, ok)
+    s = Z.shape[0]
+    Z = Z.copy()
+    L = np.zeros(s)
+    ok = np.zeros(s, dtype=bool)
+    base = np.zeros((s, n + 1, n + 1))
+    base[:, :n, :n] = np.eye(n) * ~S[:, :, None]
+    base[:, :n, n], base[:, n, :n] = -1.0 * S, S
+    SS = S[:, :, None] & S[:, None, :]
     # row 1+j of z + D raises z_j by 1; links are affine in each weight, so
     # its links minus row 0's are the pair links L(H_ij, z), the Jacobian
     D = np.vstack([np.zeros(n), np.eye(n)])
-    IDX = (np.arange(n + 1) * n)[:, None, None] + E[None, :, :]
-    L, G = _batch_value_partials(E, IDX, n, z + D)
-    start = L[0]
+    IDX = (np.arange(s * (n + 1)) * n)[:, None, None] + E[None, :, :]
+
+    def links(t):
+        P = (Z[t, None, :] + D).reshape(-1, n)
+        Lt, G = _batch_value_partials(E, IDX[: len(P)], n, P)
+        return Lt[:: n + 1], G.reshape(len(t), n + 1, n)
+
+    live = np.arange(s)
+    start, G = links(live)
     mu = r * start
     for _ in range(50):
-        A[:k, :k] = (G[1:] - G[0])[np.ix_(S, S)]
-        # least squares: on a flat face A is singular; take the shortest step
-        d = np.linalg.lstsq(A, np.append(mu - G[0, S], 1.0 - z.sum()), rcond=None)[0]
-        z[S] += d[:k]
-        mu += d[k]
-        if not np.abs(z).max() <= 2.0:
-            return None
-        L, G = _batch_value_partials(E, IDX, n, z + D)
-        if np.abs(d).max() < 1e-14:
-            return (z, float(L[0])) if L[0] >= start - DROP_TOL else None
-    return None
+        A = base[live]
+        A[:, :n, :n] += np.where(SS[live], G[:, 1:] - G[:, :1], 0.0)
+        rhs = np.concatenate([np.where(S[live], mu[live, None] - G[:, 0], 0.0),
+                              1.0 - Z[live].sum(axis=1, keepdims=True)], axis=1)
+        d = (np.linalg.pinv(A) @ rhs[:, :, None])[:, :, 0]
+        d[:, :n] *= S[live]  # off S, d is zero up to rounding
+        Z[live] += d[:, :n]
+        mu[live] += d[:, n]
+        inbox = np.abs(Z[live]).max(axis=1) <= 2.0
+        live, d = live[inbox], d[inbox]
+        Lt, G = links(live)
+        done = np.abs(d).max(axis=1) < 1e-14
+        L[live[done]] = Lt[done]
+        ok[live[done]] = Lt[done] >= start[live[done]] - DROP_TOL
+        live, G = live[~done], G[~done]
+        if not len(live):
+            break
+    return Z, L, ok
 
 
-def _newton_face(E, n, r, y):
-    # solve the face system on the support S of y, each time from y: weights
-    # the solution drives negative leave S; when _newton fails, the smallest
-    # weight of y does.  (z, L(H, z)) with z > 0 on S, or None if S empties
-    S = y > 0
-    while S.any():
-        sol = _newton(E, n, r, np.where(S, y, 0.0) / y[S].sum(), S)
-        if sol is None:
-            S[np.where(S, y, np.inf).argmin()] = False
-        elif (sol[0][S] > 0).all():
-            return sol
-        else:
-            S &= sol[0] > 0
-    return None
+def _newton_faces(E, n, r, Y, chunk=64):
+    # solve the face system on each row's support S, each time from the row:
+    # weights the solution drives negative leave S; when Newton fails, the
+    # smallest weight of the row does.  Blocks of at most chunk rows retry
+    # their pending rows in rounds.  Returns (Z, L, found) with each found
+    # row z > 0 exactly on its final S and L = L(H, z)
+    s = Y.shape[0]
+    Z = np.zeros_like(Y)
+    L = np.zeros(s)
+    found = np.zeros(s, dtype=bool)
+    for lo in range(0, s, chunk):
+        rows = np.arange(lo, min(lo + chunk, s))
+        S = Y[rows] > 0
+        while True:
+            keep = S.any(axis=1)
+            rows, S = rows[keep], S[keep]
+            if not len(rows):
+                break
+            y = np.where(S, Y[rows], 0.0)
+            z, l, ok = _newton_batch(E, n, r, y / y.sum(axis=1, keepdims=True), S)
+            hit = ok & ((z > 0) | ~S).all(axis=1)
+            Z[rows[hit]], L[rows[hit]], found[rows[hit]] = z[hit], l[hit], True
+            fail = np.flatnonzero(~ok)
+            S[fail, np.where(S[fail], y[fail], np.inf).argmin(axis=1)] = False
+            S[ok] &= z[ok] > 0
+            rows, S = rows[~hit], S[~hit]
+    return Z, L, found
 
 
 def _distinct(Y, rows) -> list[int]:
-    # the first of the given rows of Y within 1e-6 (max norm) of each other
+    # the first of the given rows of Y within 1e-6 (max norm) of each other:
+    # in order, each row kept drops every row near it.  X holds one weight
+    # coordinate per row, so a distance row is a max over n long rows
+    rows = np.fromiter(rows, dtype=np.int64)
+    X = Y[rows].T.copy()
+    left = np.ones(len(rows), dtype=bool)
     out: list[int] = []
-    for t in rows:
-        if not out or np.abs(Y[out] - Y[t]).max(axis=1).min() >= 1e-6:
-            out.append(t)
+    while left.any():
+        a = int(left.argmax())
+        out.append(int(rows[a]))
+        left &= np.abs(X - X[:, a, None]).max(axis=0) >= 1e-6
     return out
 
 
@@ -403,8 +442,10 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     Starts: uniform on support, uniform on a greedy clique, then seeded
     Dirichlet(1) samples.  A batched replicator burn-in of at most
     cfg.max_iters steps brings each run near a face; Newton's method then
-    solves each distinct run's face system, L(H_i, y) = r L(H, y) on the
-    support and sum y = 1, dropping weights it drives negative.  Runs within
+    solves every distinct run's face system, L(H_i, y) = r L(H, y) on the
+    support and sum y = 1, dropping weights it drives negative.  The runs
+    step together: one kernel call and one stacked least-squares solve per
+    Newton step, in blocks of runs so memory stays bounded.  Runs within
     1e-10 of the best value drop their smallest weight while the value holds
     to rounding, so a flat face yields a point of minimal support.  The run
     with the fewest positive weights wins, then the lexicographically largest
@@ -435,26 +476,22 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     Y, L = _replicator_batch(E, k, Y0, r, cfg.max_iters)
 
     # finish each distinct row on its face; keep the burn-in row if Newton fails
-    rows = _distinct(Y, range(cfg.starts))
-    for t in rows:
-        sol = _newton_face(E, k, r, np.where(Y[t] > ZERO_TOL, Y[t], 0.0))
-        if sol is not None:
-            Y[t], L[t] = sol
+    rows = np.array(_distinct(Y, range(cfg.starts)))
+    Z, LZ, found = _newton_faces(E, k, r, np.where(Y[rows] > ZERO_TOL, Y[rows], 0.0))
+    Y[rows[found]], L[rows[found]] = Z[found], LZ[found]
 
     # rows tied with the best shed their smallest weight, one a round, while
     # the value holds to rounding; a row that meets another stops shedding
     best = float(L[rows].max())
-    tie_rows = shedding = _distinct(Y, [t for t in rows if L[t] >= best - 1e-10])
+    tie_rows = shedding = _distinct(Y, rows[L[rows] >= best - 1e-10])
     while shedding:
-        shed = []
-        for t in shedding:
-            y = Y[t].copy()
-            y[np.where(y > 0, y, np.inf).argmin()] = 0.0
-            sol = _newton_face(E, k, r, y)
-            if sol is not None and sol[1] >= L[t] - DROP_TOL:
-                Y[t], L[t] = sol
-                shed.append(t)
-        shedding = _distinct(Y, shed)
+        t = np.array(shedding)
+        y = Y[t]
+        y[np.arange(len(t)), np.where(y > 0, y, np.inf).argmin(axis=1)] = 0.0
+        Z, LZ, found = _newton_faces(E, k, r, y)
+        shed = found & (LZ >= L[t] - DROP_TOL)
+        Y[t[shed]], L[t[shed]] = Z[shed], LZ[shed]
+        shedding = _distinct(Y, t[shed])
 
     # fewest weights above ZERO_TOL, then the largest descending weighting
     y_win = Y[max(tie_rows, key=lambda t: (-(Y[t] > ZERO_TOL).sum(),

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hylag import (
@@ -291,11 +292,16 @@ def test_maximize_finishes_crawl_family():
         assert res.kkt_residual.on_support == 0, H
 
 
+FLAT = Hypergraph(3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 5), (1, 3, 5), (1, 2, 6)])
+FAR = Hypergraph(4, [tuple(map(int, e)) for e in (
+    "1234 1235 1245 1345 2345 1236 1246 1346 1256 1356 "
+    "1237 1247 1347 1257 1267 1238 1248 1258 1239 1249").split()])
+
+
 def test_maximize_flat_face_minimal_support():
     # vertices 4 and 5 are twins: any split of 2/9 between them gives 4/81,
     # and maximize reports the split with the fewest positive weights
-    H = Hypergraph(3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 5), (1, 3, 5), (1, 2, 6)])
-    res = maximize(H)
+    res = maximize(FLAT)
     assert res.value_exact == Fraction(4, 81)
     assert res.weighting.values == STAR_MAX + (0, 0)
 
@@ -305,13 +311,103 @@ def test_maximize_rejects_far_stationary_point():
     # and Newton on the face that keeps it settles far away, at a stationary
     # point below the start; taken as the finish, the report would be the
     # uncertified K5 point of value 1/125
-    edges = ("1234 1235 1245 1345 2345 1236 1246 1346 1256 1356 "
-             "1237 1247 1347 1257 1267 1238 1248 1258 1239 1249")
-    H = Hypergraph(4, [tuple(map(int, e)) for e in edges.split()])
-    res = maximize(H)
+    res = maximize(FAR)
     assert res.value > 0.0083938
     assert res.kkt_residual.on_support <= 1e-7
     assert res.kkt_residual.off_support <= 1e-7
+
+
+def _start_rows(n, *weights):
+    # one row per {vertex: weight} dict, on vertices 1..n, scaled to sum 1
+    Y = np.zeros((len(weights), n))
+    for row, w in zip(Y, weights):
+        row[[v - 1 for v in w]] = list(w.values())
+    return Y / Y.sum(axis=1, keepdims=True)
+
+
+def _uniform(*vertices):
+    return dict.fromkeys(vertices, 1.0)
+
+
+# each row's first Newton run: settles inside its face, settles on a point
+# with a negative weight, or fails (leaves the box or ends below its start)
+NEWTON_STACKS = [
+    (FAR, [_uniform(1, 2, 3, 4, 5), {1: 0.25, 2: 0.2, 5: 0.2, 6: 0.2, 9: 0.15},
+           {1: 0.2, 2: 0.2, 5: 0.2, 6: 0.15, 9: 0.25},
+           _uniform(1, 2, 3, 5, 6, 9)], ["settle", "fail", "fail", "negative"]),
+    # vertices 4 and 5 of FLAT are twins, so the last three rows start on a
+    # flat face, where the face system is singular
+    (FLAT, [_uniform(1, 2, 3), _uniform(1, 3, 4, 6), _uniform(1, 2, 3, 4, 6),
+            _uniform(1, 2, 3, 4, 5), {1: 0.3, 2: 0.2, 3: 0.2, 4: 0.25, 5: 0.05},
+            {1: 0.3, 2: 0.2, 3: 0.2, 4: 0.05, 5: 0.25}],
+     ["settle", "fail", "negative", "settle", "settle", "settle"]),
+]
+
+
+@pytest.mark.parametrize("H, weights, kinds", NEWTON_STACKS, ids=["far", "flat"])
+def test_newton_rows_independent(H, weights, kinds, monkeypatch):
+    # rows of every kind share one batch; each must come out exactly as it
+    # does alone and in a reversed stack, so no mask or step leaks across rows
+    E, supp = lagrangian._compile_edges(H)
+    n, r = len(supp), H.r
+    Y = _start_rows(n, *weights)
+    S = Y > 0
+    z, L, ok = lagrangian._newton_batch(E, n, r, Y, S)
+    negative = ok & ((z <= 0) & S).any(axis=1)
+    assert [("negative" if g else "settle") if o else "fail" for o, g in zip(ok, negative)] == kinds
+    for t in range(len(Y)):
+        zt, Lt, okt = lagrangian._newton_batch(E, n, r, Y[t:t + 1], S[t:t + 1])
+        assert okt[0] == ok[t] and (not ok[t] or (np.array_equal(zt[0], z[t]) and Lt[0] == L[t]))
+
+    Z, L, found = lagrangian._newton_faces(E, n, r, Y)
+    assert found.all()
+    for t in range(len(Y)):
+        Zt, Lt, foundt = lagrangian._newton_faces(E, n, r, Y[t:t + 1])
+        assert foundt[0] and np.array_equal(Zt[0], Z[t]) and Lt[0] == L[t]
+    Zr, Lr, foundr = lagrangian._newton_faces(E, n, r, Y[::-1])
+    assert np.array_equal(Zr[::-1], Z) and np.array_equal(Lr[::-1], L) and foundr.all()
+
+    # each off-support coordinate j gets the identity row and column e_j, so
+    # it decouples from the row's face system; the last row marks S
+    seen = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda A: seen.append(A.copy()) or pinv(A))
+    lagrangian._newton_faces(E, n, r, Y)
+    eye = np.eye(n + 1)
+    off = [(A, j) for A in np.concatenate(seen) for j in np.flatnonzero(A[n, :n] == 0)]
+    assert off
+    for A, j in off:
+        assert np.array_equal(A[j], eye[j]) and np.array_equal(A[:, j], eye[j])
+
+
+def test_maximize_block_size(monkeypatch):
+    # the Newton finish walks its rows in blocks; the block size cannot
+    # change a result
+    graphs = [FAR, FLAT, STAR, colex_segment(30, 3)]
+    cfg = SolverConfig(starts=50, seed=1)
+    want = [maximize(H, cfg) for H in graphs]
+    faces = lagrangian._newton_faces
+    for chunk in (1, 7):
+        monkeypatch.setattr(lagrangian, "_newton_faces", functools.partial(faces, chunk=chunk))
+        assert [maximize(H, cfg) for H in graphs] == want, chunk
+
+
+def test_distinct_matches_greedy_loop():
+    # reference: in order, keep a row unless a kept row lies within 1e-6
+    def loop(Y, rows):
+        out = []
+        for t in rows:
+            if not out or np.abs(Y[out] - Y[t]).max(axis=1).min() >= 1e-6:
+                out.append(t)
+        return out
+
+    rng = np.random.default_rng(3)
+    for s, clusters in ((1, 1), (50, 3), (50, 50), (300, 20)):
+        # noise of 1.5e-6 chains rows of one cluster, so a row near a dropped
+        # row but far from every kept one must still be kept
+        Y = rng.random((clusters, 6))[rng.integers(0, clusters, s)] + rng.random((s, 6)) * 1.5e-6
+        for rows in (range(s), rng.permutation(s), rng.permutation(s)[: s // 2]):
+            assert lagrangian._distinct(Y, rows) == loop(Y, list(rows))
 
 
 def test_maximize_deterministic():
