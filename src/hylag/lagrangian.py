@@ -204,6 +204,11 @@ def partials(H: Hypergraph, y) -> list:
 
 
 # -- numeric kernel --------------------------------------------------------
+#
+# _batch_value_partials carries the solver's float work: each replicator
+# step calls it once on the runs, each Newton step once on rows * (n + 1)
+# points.  It multiplies whole (s, m) columns, one per edge position: an
+# edge has only r entries, too short an axis for numpy's inner loops.
 
 
 def _compile_edges(H: Hypergraph) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -214,21 +219,25 @@ def _compile_edges(H: Hypergraph) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _batch_value_partials(E: np.ndarray, IDX: np.ndarray, n: int, Y: np.ndarray):
-    # Y: (s, n) -> L: (s,), G: (s, n) with G[t, i] = L(H_i, Y[t])
-    P = Y[:, E]  # (s, m, r)
-    s, m, r = P.shape
-    if r == 1:
-        L = P[:, :, 0].sum(axis=1)
-        excl = np.ones_like(P)
-    else:
-        pref = np.cumprod(P, axis=2)
-        suff = np.cumprod(P[:, :, ::-1], axis=2)[:, :, ::-1]
-        excl = np.empty_like(P)
-        excl[:, :, 0] = suff[:, :, 1]
-        excl[:, :, -1] = pref[:, :, -2]
+    # Y: (s, n) -> L: (s,), G: (s, n) with G[t, i] = L(H_i, Y[t]).  P_j is
+    # the weight at position j of every edge; prefix and suffix products
+    # multiply in the order a cumprod along each edge does, and excl[t, e, j]
+    # (edge e's product without position j) follows IDX's (s, m, r) layout,
+    # so the bincount adds each link value's terms in edge order
+    s, (m, r) = Y.shape[0], E.shape
+    P = [Y[:, E[:, j]] for j in range(r)]
+    pref, suff = P[:1], P[-1:]  # pref[j] = P_0..P_j, suff[k] = P_{r-1-k}..P_{r-1}
+    for j in range(1, r):
+        pref.append(pref[-1] * P[j])
+    for j in range(r - 2, 0, -1):
+        suff.append(P[j] * suff[-1])
+    excl = np.ones((s, m, r))
+    if r > 1:
+        excl[:, :, 0] = suff[-1]
+        excl[:, :, -1] = pref[-2]
         for j in range(1, r - 1):
-            excl[:, :, j] = pref[:, :, j - 1] * suff[:, :, j + 1]
-        L = pref[:, :, -1].sum(axis=1)
+            np.multiply(pref[j - 1], suff[r - 2 - j], out=excl[:, :, j])
+    L = pref[-1].sum(axis=1)
     G = np.bincount(IDX.ravel(), weights=excl.ravel(), minlength=s * n).reshape(s, n)
     return L, G
 

@@ -174,6 +174,104 @@ def test_partials_match_finite_differences():
             assert abs(p[i] - fd) <= 1e-5
 
 
+# -- numeric kernel ----------------------------------------------------------------
+
+
+def _cumprod_kernel(E, IDX, n, Y):
+    # reference: prefix and suffix products by np.cumprod along each edge
+    P = Y[:, E]  # (s, m, r)
+    s, m, r = P.shape
+    if r == 1:
+        L = P[:, :, 0].sum(axis=1)
+        excl = np.ones_like(P)
+    else:
+        pref = np.cumprod(P, axis=2)
+        suff = np.cumprod(P[:, :, ::-1], axis=2)[:, :, ::-1]
+        excl = np.empty_like(P)
+        excl[:, :, 0] = suff[:, :, 1]
+        excl[:, :, -1] = pref[:, :, -2]
+        for j in range(1, r - 1):
+            excl[:, :, j] = pref[:, :, j - 1] * suff[:, :, j + 1]
+        L = pref[:, :, -1].sum(axis=1)
+    G = np.bincount(IDX.ravel(), weights=excl.ravel(), minlength=s * n).reshape(s, n)
+    return L, G
+
+
+def _kernel_args(H, Y):
+    E, supp = lagrangian._compile_edges(H)
+    IDX = (np.arange(len(Y)) * len(supp))[:, None, None] + E[None, :, :]
+    return E, IDX, len(supp), Y
+
+
+def test_kernel_matches_cumprod():
+    # the same products in the same order: L and G agree to the last bit
+    rng = np.random.default_rng(5)
+    for r in range(1, 6):
+        for n in (r, r + 1, r + 4):
+            pool = list(itertools.combinations(range(1, n + 1), r))
+            for m in sorted({1, (len(pool) + 1) // 2, len(pool)}):
+                H = Hypergraph(r, [pool[i] for i in rng.choice(len(pool), m, replace=False)])
+                k = len(H.support)
+                for s in (1, 50, 641):
+                    Y = rng.random((s, k))
+                    Y[rng.random((s, k)) < 0.3] = 0.0  # zero weights, some whole rows
+                    args = _kernel_args(H, Y)
+                    L, G = lagrangian._batch_value_partials(*args)
+                    Lref, Gref = _cumprod_kernel(*args)
+                    assert np.array_equal(L, Lref) and np.array_equal(G, Gref), (r, n, m, s)
+
+
+def _random_graph(rng, r, n):
+    pool = list(itertools.combinations(range(1, n + 1), r))
+    return Hypergraph(r, rng.sample(pool, rng.randint(1, len(pool))))
+
+
+def test_kernel_accuracy():
+    # L and every link value at random simplex points, against exact values
+    rng = random.Random(6)
+    for r in range(1, 6):
+        for _ in range(8):
+            H = _random_graph(rng, r, rng.randint(r, 8))
+            Y = np.array([[rng.random() for _ in H.support] for _ in range(4)])
+            Y /= Y.sum(axis=1, keepdims=True)
+            L, G = lagrangian._batch_value_partials(*_kernel_args(H, Y))
+            for y, l, g in zip(Y, L, G):
+                full = [0] * H.max_vertex()
+                for i, v in enumerate(H.support):
+                    full[v - 1] = Fraction(y[i])
+                assert abs(Fraction(l) - evaluate(H, full)) <= 1e-15
+                exact = partials(H, full)
+                for i, v in enumerate(H.support):
+                    assert abs(Fraction(g[i]) - exact[v - 1]) <= 1e-15
+
+
+def test_kernel_pair_links():
+    # links are affine in each weight, so G(z + e_j) - G(z) is the pair link
+    # row L(H_ij, z): the Jacobian _newton_batch builds; for r=2 it is the
+    # 0/1 indicator of the edge {i, j}
+    rng = random.Random(7)
+    for r in range(2, 6):
+        for _ in range(6):
+            H = _random_graph(rng, r, rng.randint(r + 1, 8))
+            supp, k = H.support, len(H.support)
+            z = np.array([rng.random() for _ in supp])
+            z /= z.sum()
+            Z = np.vstack([z, z + np.eye(k)])
+            _, G = lagrangian._batch_value_partials(*_kernel_args(H, Z))
+            full = [0] * H.max_vertex()
+            for i, v in enumerate(supp):
+                full[v - 1] = Fraction(z[i])
+            for a, b in itertools.product(range(k), repeat=2):
+                i, j = supp[a], supp[b]
+                if i == j:
+                    pair = 0
+                elif r == 2:
+                    pair = int(tuple(sorted((i, j))) in H)
+                else:
+                    pair = evaluate(link(H, (i, j)), full)
+                assert abs(Fraction(G[1 + b, a] - G[0, a]) - pair) <= 1e-14, (H, i, j)
+
+
 # -- closed forms -----------------------------------------------------------------
 
 
