@@ -456,11 +456,15 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     step together: one kernel call and one stacked least-squares solve per
     Newton step, in blocks of runs so memory stays bounded.  Runs within
     1e-10 of the best value drop their smallest weight while the value holds
-    to rounding, so a flat face yields a point of minimal support.  The run
-    with the fewest positive weights wins, then the lexicographically largest
-    descending weighting.  The winner is rationalized and re-evaluated
-    exactly; `value` is the float of that exact certificate.  Deterministic
-    given cfg.seed.
+    to rounding, so a flat face yields a point of minimal support.  Among
+    those runs the one with the fewest positive weights wins, then the
+    lexicographically largest descending weighting, compared exactly once
+    each weight is rounded to a fraction with denominator at most
+    MAX_DENOMINATOR, then the lexicographically smallest tuple of support
+    vertices.  So of several maximizers with the same weights on different
+    vertices, the one reported does not depend on last-bit rounding.  The
+    winner is rationalized and re-evaluated exactly; `value` is the float of
+    that exact certificate.  Deterministic given cfg.seed.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
@@ -502,9 +506,15 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         Y[t[shed]], L[t[shed]] = Z[shed], LZ[shed]
         shedding = _distinct(Y, t[shed])
 
-    # fewest weights above ZERO_TOL, then the largest descending weighting
-    y_win = Y[max(tie_rows, key=lambda t: (-(Y[t] > ZERO_TOL).sum(),
-                                           tuple(sorted(Y[t], reverse=True)), -t))]
+    # fewest weights above ZERO_TOL, then the largest descending weighting at
+    # the reported precision, compared exactly, then the smallest support:
+    # maximizers with equal weights on other vertices tie on the first two
+    def rank(t):
+        on = Y[t] > ZERO_TOL
+        neg = sorted(-Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in Y[t])
+        return on.sum(), neg, tuple(np.flatnonzero(on))
+
+    y_win = Y[min(tie_rows, key=rank)]
 
     # canonical form: adopt the descending rearrangement when it does not
     # lose value (always the case for left-compressed H), decided exactly;

@@ -404,6 +404,20 @@ def test_maximize_flat_face_minimal_support():
     assert res.weighting.values == STAR_MAX + (0, 0)
 
 
+@pytest.mark.parametrize("r, edges, support", [
+    (3, "124 134", (1, 2, 4)),
+    (2, "13 14 16 26", (1, 3)),
+    (2, "23 14 34 15 35", (1, 4)),
+    (2, "25 45 16", (1, 6)),
+])
+def test_maximize_tie_rule_picks_one_support(r, edges, support):
+    # not left-compressed: equal-valued maximizers carry the same weights on
+    # different vertices, and the smallest support wins whatever the seed
+    H = Hypergraph(r, [tuple(map(int, e)) for e in edges.split()])
+    for seed in range(12):
+        assert maximize(H, SolverConfig(seed=seed)).weighting.support == support, seed
+
+
 def test_maximize_rejects_far_stationary_point():
     # left-compressed, r=4: the burn-in leaves a decaying weight on vertex 7,
     # and Newton on the face that keeps it settles far away, at a stationary
