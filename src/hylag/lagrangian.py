@@ -4,8 +4,9 @@ For an r-graph H and a weight vector y, L(H, y) = sum over edges A of
 prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
 standard simplex (y >= 0, sum y = 1).  This module evaluates L exactly or in
 floats, maximizes it by a multistart replicator burn-in finished by Newton's
-method on each run's face (all runs stepped together, one stacked solve per
-step), and certifies candidate maximizers three independent ways:
+method on each run's face (all runs stepped together, one stacked symmetric
+eigen-solve per step, the step doubled where it halves at a singular root),
+and certifies candidate maximizers three independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
   L(H_i, y) for i in S equals r * L(H, y), and off-support links cannot beat it;
@@ -270,20 +271,34 @@ def _replicator_batch(E, n, Y, r, max_iters):
     return Y, L
 
 
+def _face_step(A, rhs):
+    # least-squares, minimal-norm solution of each symmetric system A d = rhs,
+    # as pinv(A) @ rhs: the moduli of A's eigenvalues are its singular values,
+    # so the same cutoff (1e-15 of the largest) drops the same directions
+    w, V = np.linalg.eigh(A)
+    big = np.abs(w) > 1e-15 * np.abs(w).max(axis=1, keepdims=True)
+    c = np.divide((rhs[:, None, :] @ V)[:, 0], w, out=np.zeros_like(w), where=big)
+    return (V @ c[:, :, None])[:, :, 0]
+
+
 def _newton_batch(E, n, r, Z, S):
     # Newton on each row's [L(H_i, z) - mu for i in S; sum z - 1] from Z (zero
     # off S), all live rows a step at a time.  Each off-support coordinate gets
-    # an identity row, so it decouples, and the pseudo-inverse step is each
-    # row's least-squares step: on a flat face the shortest one.  A row fails
-    # if an iterate leaves [-2, 2]^n, 50 steps do not settle, or the value ends
-    # below the start's (a far stationary point).  Returns (Z, L, ok)
+    # an identity row, so it decouples; with the last equation negated the
+    # system is symmetric, and _face_step takes each row's least-squares step:
+    # on a flat face the shortest one.  At a singular root (a weight going to
+    # 0 whose link equals r * mu) Newton's steps halve each time, so a step
+    # between 0.4 and 0.6 of the row's last one is doubled, Schroeder's step
+    # for a double root.  A row fails if an iterate leaves [-2, 2]^n, 50 steps
+    # do not settle, or the value ends below the start's (a far stationary
+    # point).  Returns (Z, L, ok)
     s = Z.shape[0]
     Z = Z.copy()
     L = np.zeros(s)
     ok = np.zeros(s, dtype=bool)
     base = np.zeros((s, n + 1, n + 1))
     base[:, :n, :n] = np.eye(n) * ~S[:, :, None]
-    base[:, :n, n], base[:, n, :n] = -1.0 * S, S
+    base[:, :n, n] = base[:, n, :n] = -1.0 * S
     SS = S[:, :, None] & S[:, None, :]
     # row 1+j of z + D raises z_j by 1; links are affine in each weight, so
     # its links minus row 0's are the pair links L(H_ij, z), the Jacobian
@@ -298,19 +313,23 @@ def _newton_batch(E, n, r, Z, S):
     live = np.arange(s)
     start, G = links(live)
     mu = r * start
+    last = np.zeros(s)  # each row's last step size (max norm), before doubling
     for _ in range(50):
         A = base[live]
         A[:, :n, :n] += np.where(SS[live], G[:, 1:] - G[:, :1], 0.0)
         rhs = np.concatenate([np.where(S[live], mu[live, None] - G[:, 0], 0.0),
-                              1.0 - Z[live].sum(axis=1, keepdims=True)], axis=1)
-        d = (np.linalg.pinv(A) @ rhs[:, :, None])[:, :, 0]
+                              Z[live].sum(axis=1, keepdims=True) - 1.0], axis=1)
+        d = _face_step(A, rhs)
         d[:, :n] *= S[live]  # off S, d is zero up to rounding
+        size = np.abs(d).max(axis=1)
+        d[(size > 0.4 * last[live]) & (size < 0.6 * last[live])] *= 2.0
+        last[live] = size
         Z[live] += d[:, :n]
         mu[live] += d[:, n]
         inbox = np.abs(Z[live]).max(axis=1) <= 2.0
-        live, d = live[inbox], d[inbox]
+        live, size = live[inbox], size[inbox]
         Lt, G = links(live)
-        done = np.abs(d).max(axis=1) < 1e-14
+        done = size < 1e-14
         L[live[done]] = Lt[done]
         ok[live[done]] = Lt[done] >= start[live[done]] - DROP_TOL
         live, G = live[~done], G[~done]
@@ -453,18 +472,20 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     cfg.max_iters steps brings each run near a face; Newton's method then
     solves every distinct run's face system, L(H_i, y) = r L(H, y) on the
     support and sum y = 1, dropping weights it drives negative.  The runs
-    step together: one kernel call and one stacked least-squares solve per
-    Newton step, in blocks of runs so memory stays bounded.  Runs within
-    1e-10 of the best value drop their smallest weight while the value holds
-    to rounding, so a flat face yields a point of minimal support.  Among
-    those runs the one with the fewest positive weights wins, then the
-    lexicographically largest descending weighting, compared exactly once
-    each weight is rounded to a fraction with denominator at most
-    MAX_DENOMINATOR, then the lexicographically smallest tuple of support
-    vertices.  So of several maximizers with the same weights on different
-    vertices, the one reported does not depend on last-bit rounding.  The
-    winner is rationalized and re-evaluated exactly; `value` is the float of
-    that exact certificate.  Deterministic given cfg.seed.
+    step together: one kernel call and one stacked symmetric eigen-solve (the
+    least-squares step) per Newton step, in blocks of runs so memory stays
+    bounded; where a run's steps halve, as at a singular root, the step is
+    doubled.  Runs within 1e-10 of the best value drop their smallest weight
+    while the value holds to rounding, so a flat face yields a point of
+    minimal support.  Among the distinct ones of those runs the one with the
+    fewest positive weights wins, then the lexicographically largest
+    descending weighting, compared exactly once each weight is rounded to a
+    fraction with denominator at most MAX_DENOMINATOR, then the
+    lexicographically smallest tuple of support vertices.  So of several
+    maximizers with the same weights on different vertices, the one reported
+    does not depend on last-bit rounding.  The winner is rationalized and
+    re-evaluated exactly; `value` is the float of that exact certificate.
+    Deterministic given cfg.seed.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
@@ -506,15 +527,17 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         Y[t[shed]], L[t[shed]] = Z[shed], LZ[shed]
         shedding = _distinct(Y, t[shed])
 
-    # fewest weights above ZERO_TOL, then the largest descending weighting at
-    # the reported precision, compared exactly, then the smallest support:
-    # maximizers with equal weights on other vertices tie on the first two
+    # of the distinct tie rows (a tie row may have met another while
+    # shedding): fewest weights above ZERO_TOL, then the largest descending
+    # weighting at the reported precision, compared exactly, then the
+    # smallest support; maximizers with equal weights on other vertices tie
+    # on the first two
     def rank(t):
         on = Y[t] > ZERO_TOL
         neg = sorted(-Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in Y[t])
         return on.sum(), neg, tuple(np.flatnonzero(on))
 
-    y_win = Y[min(tie_rows, key=rank)]
+    y_win = Y[min(_distinct(Y, tie_rows), key=rank)]
 
     # canonical form: adopt the descending rearrangement when it does not
     # lose value (always the case for left-compressed H), decided exactly;

@@ -446,7 +446,7 @@ def _uniform(*vertices):
 NEWTON_STACKS = [
     (FAR, [_uniform(1, 2, 3, 4, 5), {1: 0.25, 2: 0.2, 5: 0.2, 6: 0.2, 9: 0.15},
            {1: 0.2, 2: 0.2, 5: 0.2, 6: 0.15, 9: 0.25},
-           _uniform(1, 2, 3, 5, 6, 9)], ["settle", "fail", "fail", "negative"]),
+           _uniform(1, 2, 3, 5, 6, 8, 9)], ["settle", "fail", "fail", "negative"]),
     # vertices 4 and 5 of FLAT are twins, so the last three rows start on a
     # flat face, where the face system is singular
     (FLAT, [_uniform(1, 2, 3), _uniform(1, 3, 4, 6), _uniform(1, 2, 3, 4, 6),
@@ -482,14 +482,122 @@ def test_newton_rows_independent(H, weights, kinds, monkeypatch):
     # each off-support coordinate j gets the identity row and column e_j, so
     # it decouples from the row's face system; the last row marks S
     seen = []
-    pinv = np.linalg.pinv
-    monkeypatch.setattr(np.linalg, "pinv", lambda A: seen.append(A.copy()) or pinv(A))
+    step = lagrangian._face_step
+    monkeypatch.setattr(lagrangian, "_face_step",
+                        lambda A, rhs: seen.append(A.copy()) or step(A, rhs))
     lagrangian._newton_faces(E, n, r, Y)
     eye = np.eye(n + 1)
     off = [(A, j) for A in np.concatenate(seen) for j in np.flatnonzero(A[n, :n] == 0)]
     assert off
     for A, j in off:
         assert np.array_equal(A[j], eye[j]) and np.array_equal(A[:, j], eye[j])
+
+
+def _graph(r, edges):
+    return Hypergraph(r, [tuple(map(int, e)) for e in edges.split()])
+
+
+def _bordered(J, S):
+    # _newton_batch's face matrix: J on S, the identity off S, and the border
+    # -1 on S in the last row and column
+    A = np.where(S[:, None] & S[None, :], J, np.diag(~S * 1.0))
+    return np.block([[A, -1.0 * S[:, None]], [-1.0 * S[None, :], np.zeros((1, 1))]])
+
+
+def test_face_step_matches_pinv():
+    # the eigen-solve gives the SVD pseudo-inverse's step: on well-conditioned
+    # systems, and on exactly singular ones, where it is the minimal-norm step
+    rng = np.random.default_rng(5)
+    for n in range(2, 8):
+        M = rng.normal(size=(30, n, n))
+        S = rng.random((30, n)) < 0.7
+        S[:, 0] = True
+        A = np.stack([_bordered(m + m.T, s) for m, s in zip(M, S)])
+        assert np.linalg.cond(A).max() < 1e5
+        rhs = rng.normal(size=(30, n + 1))
+        want = (np.linalg.pinv(A) @ rhs[:, :, None])[:, :, 0]
+        assert np.abs(lagrangian._face_step(A, rhs) - want).max() <= 1e-12, n
+
+    # FLAT's face S = {1..5}: twins 4 and 5 give A equal rows and columns,
+    # so e_4 - e_5 spans its kernel and the step has d_4 = d_5
+    S = np.array([True] * 5 + [False])
+    for y in ([Fraction(k, 9) for k in (3, 2, 2, 1, 1, 0)],
+              [Fraction(k, 20) for k in (6, 4, 4, 5, 1, 0)]):
+        J = np.array([[float(evaluate(link(FLAT, (i, j)), y)) if i != j else 0.0
+                       for j in range(1, 7)] for i in range(1, 7)])
+        A = np.repeat(_bordered(J, S)[None], 20, axis=0)
+        assert np.array_equal(A[0, 3], A[0, 4])
+        rhs = rng.normal(size=(20, 7))
+        d = lagrangian._face_step(A, rhs)
+        assert np.abs(d - (np.linalg.pinv(A) @ rhs[:, :, None])[:, :, 0]).max() <= 1e-12
+        assert np.abs(d[:, 3] - d[:, 4]).max() <= 1e-12
+
+
+def test_newton_doubles_step_at_singular_root(monkeypatch):
+    # vertex 5's link {12, 13, 14} equals 3 lambda at the K4 point, so the
+    # face system on all five vertices is singular there: Newton's steps
+    # halve while y_5 decays, and doubling them settles in far fewer steps
+    E, _ = lagrangian._compile_edges(_graph(3, "123 124 134 234 125 135 145"))
+    Y = np.array([[0.25 + tau, 0.25, 0.25, 0.25 - tau, eps]
+                  for eps in (0.02, 0.01, 0.005, 0.001) for tau in (0, 0.003)])
+    Y /= Y.sum(axis=1, keepdims=True)
+    solved = []
+    step = lagrangian._face_step
+    monkeypatch.setattr(lagrangian, "_face_step",
+                        lambda A, rhs: solved.append(len(A)) or step(A, rhs))
+    _, _, ok = lagrangian._newton_batch(E, 5, 3, Y, Y > 0)
+    assert ok.all()
+    assert sum(solved) <= 100  # 152 row steps without the doubling
+    Z, _, found = lagrangian._newton_faces(E, 5, 3, Y)
+    assert found.all()
+    assert np.abs(Z - [0.25, 0.25, 0.25, 0.25, 0.0]).max() <= 1e-8
+
+
+# exact maximize outputs (seed 1, 50 starts) that a change to the Newton
+# numerics must not move: the crawl graphs, whose maximizers are singular
+# roots of the face system, FLAT, FAR, the graph of
+# test_maximize_polishes_unsorted_winner, and H^{m,3} for m = 4..10
+PINNED = [
+    (_graph(3, "123 124 134 234 125 135 145"),
+     "1/16", "1/4 1/4 1/4 1/4 0"),
+    (_graph(3, "123 124 134 234 125 135 145 126"),
+     "1/16", "1/4 1/4 1/4 1/4 0 0"),
+    (_graph(3, "123 124 134 234 125 135 145 126 127"),
+     "1/16", "1/4 1/4 1/4 1/4 0 0 0"),
+    (_graph(3, "123 124 134 234 125 135 145 126 136"),
+     "1/16", "1/4 1/4 1/4 1/4 0 0"),
+    (_graph(3, "123 124 134 234 125 135 145 126 136 127"),
+     "1/16", "1/4 1/4 1/4 1/4 0 0 0"),
+    (_graph(3, "123 124 134 234 125 135 145 126 136 146"),
+     "1/16", "1/4 1/4 1/4 1/4 0 0"),
+    (FLAT,
+     "4/81", "1/3 2/9 2/9 2/9 0 0"),
+    (FAR,
+     "199590333740483940080180205246789788408555543274546002525648050312762409064266754158247/23778274027516183484816632854604795278955842520592963030251324690328392267546002930243856", "2796361372689566369977/12417812039455372078822 2277900333411488114283/12417812039455372078822 2277900333411488114283/12417812039455372078822 976905260125935371024/6208906019727686039411 976905260125935371024/6208906019727686039411 1158028959439087996183/12417812039455372078822 0 0 0"),
+    (_graph(3, "123 134 234 125 135 235 245 126 136 236 146 456"),
+     "17615284758925683189310265244814438455720256075953975101696659279919520/280492458021852749504891431170595841731311470146442977768341528263162719", "155903093864317053860130/654596576176388110871839 155903093864317053860130/654596576176388110871839 161829765760286159362780/654596576176388110871839 25533811072846771694055/654596576176388110871839 77713405807310536047372/654596576176388110871839 77713405807310536047372/654596576176388110871839"),
+    (colex_segment(4, 3),
+     "1/16", "1/4 1/4 1/4 1/4"),
+    (colex_segment(5, 3),
+     "1/16", "1/4 1/4 1/4 1/4 0"),
+    (colex_segment(6, 3),
+     "1/16", "1/4 1/4 1/4 1/4 0"),
+    (colex_segment(7, 3),
+     "1/16", "1/4 1/4 1/4 1/4 0"),
+    (colex_segment(8, 3),
+     "12251467569332414126117838406278676887123341453/182107567515544973167744438733960060828136332750", "2255969635578278/8605947239754865 171053348708566/782358839977715 171053348708566/782358839977715 39796983578279/264798376607842 39796983578279/264798376607842"),
+    (colex_segment(9, 3),
+     "2912127738071479557/39737034546105282121", "793079/3412441 793079/3412441 608761/3412441 608761/3412441 608761/3412441"),
+    (colex_segment(10, 3),
+     "2/25", "1/5 1/5 1/5 1/5 1/5"),
+]
+
+
+def test_maximize_pinned_outputs():
+    for H, value, weights in PINNED:
+        res = maximize(H, SolverConfig(starts=50, seed=1))
+        assert str(res.value_exact) == value, H
+        assert " ".join(map(str, res.weighting.values)) == weights, H
 
 
 def test_maximize_block_size(monkeypatch):
