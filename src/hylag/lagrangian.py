@@ -3,10 +3,11 @@
 For an r-graph H and a weight vector y, L(H, y) = sum over edges A of
 prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
 standard simplex (y >= 0, sum y = 1).  This module evaluates L exactly or in
-floats, maximizes it by a multistart replicator burn-in finished by Newton's
-method on each run's face (all runs stepped together, one stacked symmetric
-eigen-solve per step, the step doubled where it halves at a singular root),
-and certifies candidate maximizers three independent ways:
+floats, maximizes it by a multistart replicator burn-in (from the uniform
+point and seeded Dirichlet samples, at most BURN_IN steps) finished by
+Newton's method on each run's face (all runs stepped together, one stacked
+symmetric eigen-solve per step, the step doubled where it halves at a
+singular root), and certifies candidate maximizers three independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
   L(H_i, y) for i in S equals r * L(H, y), and off-support links cannot beat it;
@@ -16,11 +17,13 @@ and certifies candidate maximizers three independent ways:
 Reported maximizer weightings are rationalized (continued fractions,
 bounded denominator) and the reported value is the exact evaluation at that
 rational point, so every result is a certified lower bound on lambda(H).
+The solver and the grid oracle build their results the same way: the exact
+weights in descending order unless the found order is strictly better, then
+the exact value and KKT residuals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +33,7 @@ import numpy as np
 
 from .hypergraph import Hypergraph, binom, is_left_compressed, link, link_diff
 
+BURN_IN = 200  # replicator steps at most before the Newton finish
 VALUE_TOL = 1e-11  # burn-in: a row is done once a step gains less than this
 ZERO_TOL = 1e-9  # weights below this count as off the support
 DROP_TOL = 1e-15  # the value a support drop may lose to rounding
@@ -243,29 +247,25 @@ def _batch_value_partials(E: np.ndarray, IDX: np.ndarray, n: int, Y: np.ndarray)
     return L, G
 
 
-def _replicator_batch(E, n, Y, r, max_iters):
+def _replicator_batch(E, n, Y, r):
     """Multiplicative ascent y_i <- y_i L(H_i,y) / (r L(H,y)), batched by row.
 
     The objective is a polynomial with nonnegative coefficients, so each step
-    cannot decrease L (Baum-Eagon); fixpoints are exactly the points where
-    all on-support links are equalized to r L.  Every start carries an edge,
-    so r L > 0.  The loop ends after max_iters steps, or once every row's
-    last step gained less than VALUE_TOL: Newton finishes the rows.
+    cannot decrease L (Baum-Eagon) beyond last-bit rounding; fixpoints are
+    exactly the points where all on-support links are equalized to r L.
+    Every start carries an edge, so r L > 0.  The loop ends after BURN_IN
+    steps, or once every row's last step gained less than VALUE_TOL: Newton
+    finishes the rows.
     """
     s = Y.shape[0]
     IDX = (np.arange(s) * n)[:, None, None] + E[None, :, :]
     L, G = _batch_value_partials(E, IDX, n, Y)
-    for _ in range(max_iters):
-        Ynew = Y * G / (r * L)[:, None]
-        Ynew /= Ynew.sum(axis=1, keepdims=True)
-        Lnew, Gnew = _batch_value_partials(E, IDX, n, Ynew)
-        worse = Lnew < L
-        if worse.any():
-            Ynew[worse] = Y[worse]
-            Lnew[worse] = L[worse]
-            Gnew[worse] = G[worse]
+    for _ in range(BURN_IN):
+        Y = Y * G / (r * L)[:, None]
+        Y /= Y.sum(axis=1, keepdims=True)
+        Lnew, G = _batch_value_partials(E, IDX, n, Y)
         done = bool((Lnew - L < VALUE_TOL).all())
-        Y, L, G = Ynew, Lnew, Gnew
+        L = Lnew
         if done:
             break
     return Y, L
@@ -382,19 +382,6 @@ def _distinct(Y, rows) -> list[int]:
     return out
 
 
-def _greedy_clique(H: Hypergraph) -> list[int]:
-    order = sorted(H.support, key=lambda v: (-H.degree(v), v))
-    S: list[int] = []
-    for v in order:
-        if len(S) >= H.r - 1:
-            if not all(c + (v,) in H for c in itertools.combinations(S, H.r - 1)):
-                continue
-        S.append(v)
-    if len(S) < H.r:
-        S = list(H.edges[0])
-    return S
-
-
 @dataclass(frozen=True)
 class KKTResidual:
     """First-order certificate: on_support = max |L(H_i,y) - r L(H,y)| over
@@ -434,80 +421,79 @@ class LagrangianResult:
 @dataclass(frozen=True)
 class SolverConfig:
     starts: int = 50
-    max_iters: int = 200  # replicator burn-in steps before the Newton finish
     seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
-def _degenerate_result(seed) -> LagrangianResult:
+def _certified(H: Hypergraph, fr: Sequence[Fraction], method: str, starts: int,
+               seed: int | None) -> LagrangianResult:
+    # the result for exact weights fr on the support of H, in support order:
+    # canonical form takes the descending rearrangement unless fr's own order
+    # is strictly better (never for left-compressed H), decided exactly
+    supp, n = H.support, H.max_vertex()
+
+    def expand(vals) -> Weighting:
+        full = [Fraction(0)] * n
+        for v, x in zip(supp, vals):
+            full[v - 1] = x
+        return Weighting(full)
+
+    w, raw = expand(sorted(fr, reverse=True)), expand(fr)
+    val, raw_val = evaluate(H, w), evaluate(H, raw)
+    if raw_val > val:
+        w, val = raw, raw_val
     return LagrangianResult(
-        value=0.0,
-        value_exact=Fraction(0),
-        weighting=Weighting(()),
-        support_size=0,
-        kkt_residual=KKTResidual(0.0, 0.0),
-        method="degenerate",
-        starts_used=0,
+        value=float(val),
+        value_exact=val,
+        weighting=w,
+        support_size=len(w.support),
+        kkt_residual=kkt_residual(H, w),
+        method=method,
+        starts_used=starts,
         seed=seed,
     )
-
-
-def _expand_to_full(fr: Sequence[Fraction], supp: tuple[int, ...], n: int) -> Weighting:
-    full = [Fraction(0)] * n
-    for idx, v in enumerate(supp):
-        full[v - 1] = fr[idx]
-    return Weighting(full)
 
 
 def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
     """Best local maximum of L(H, .) over the simplex across cfg.starts runs.
 
-    Starts: uniform on support, uniform on a greedy clique, then seeded
-    Dirichlet(1) samples.  A batched replicator burn-in of at most
-    cfg.max_iters steps brings each run near a face; Newton's method then
-    solves every distinct run's face system, L(H_i, y) = r L(H, y) on the
-    support and sum y = 1, dropping weights it drives negative.  The runs
-    step together: one kernel call and one stacked symmetric eigen-solve (the
-    least-squares step) per Newton step, in blocks of runs so memory stays
-    bounded; where a run's steps halve, as at a singular root, the step is
-    doubled.  Runs within 1e-10 of the best value drop their smallest weight
-    while the value holds to rounding, so a flat face yields a point of
-    minimal support.  Among the distinct ones of those runs the one with the
-    fewest positive weights wins, then the lexicographically largest
-    descending weighting, compared exactly once each weight is rounded to a
-    fraction with denominator at most MAX_DENOMINATOR, then the
-    lexicographically smallest tuple of support vertices.  So of several
-    maximizers with the same weights on different vertices, the one reported
-    does not depend on last-bit rounding.  The winner is rationalized and
-    re-evaluated exactly; `value` is the float of that exact certificate.
+    Starts: uniform on the support, then seeded Dirichlet(1) samples.  A
+    batched replicator burn-in of at most BURN_IN steps brings each run near a
+    face; Newton's method then solves every distinct run's face system,
+    L(H_i, y) = r L(H, y) on the support and sum y = 1, dropping weights it
+    drives negative.  The runs step together: one kernel call and one stacked
+    symmetric eigen-solve (the least-squares step) per Newton step, in blocks
+    of runs so memory stays bounded; where a run's steps halve, as at a
+    singular root, the step is doubled.  Runs within 1e-10 of the best value
+    drop their smallest weight while the value holds to rounding, so a flat
+    face yields a point of minimal support.  Among the distinct ones of those
+    runs the one with the fewest positive weights wins, then the
+    lexicographically largest descending weighting, compared exactly once each
+    weight is rounded to a fraction with denominator at most MAX_DENOMINATOR,
+    then the lexicographically smallest tuple of support vertices.  So of
+    several maximizers with the same weights on different vertices, the one
+    reported does not depend on last-bit rounding.  The winner is
+    rationalized, sorted descending unless its own order is strictly better,
+    and re-evaluated exactly; `value` is the float of that exact certificate.
     Deterministic given cfg.seed.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
-        return _degenerate_result(cfg.seed)
+        return _certified(H, (), "degenerate", 0, cfg.seed)
     E, supp = _compile_edges(H)
     k = len(supp)
     r = H.r
 
     Y0 = np.empty((cfg.starts, k))
     Y0[0] = 1.0 / k
-    if cfg.starts > 1:
-        pos = {v: i for i, v in enumerate(supp)}
-        S = _greedy_clique(H)
-        row = np.zeros(k)
-        row[[pos[v] for v in S]] = 1.0 / len(S)
-        Y0[1] = row
-    for s_i in range(2, cfg.starts):
-        rng = np.random.default_rng((cfg.seed, s_i))
-        g = rng.exponential(1.0, k)
+    for s_i in range(1, cfg.starts):
+        g = np.random.default_rng((cfg.seed, s_i)).exponential(1.0, k)
         Y0[s_i] = g / g.sum()
 
-    Y, L = _replicator_batch(E, k, Y0, r, cfg.max_iters)
+    Y, L = _replicator_batch(E, k, Y0, r)
 
     # finish each distinct row on its face; keep the burn-in row if Newton fails
     rows = np.array(_distinct(Y, range(cfg.starts)))
@@ -537,30 +523,11 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         neg = sorted(-Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in Y[t])
         return on.sum(), neg, tuple(np.flatnonzero(on))
 
+    # rationalizing is monotone, so _certified's sort of the fractions is
+    # the rationalized sort of the floats
     y_win = Y[min(_distinct(Y, tie_rows), key=rank)]
-
-    # canonical form: adopt the descending rearrangement when it does not
-    # lose value (always the case for left-compressed H), decided exactly;
-    # the raw winner is scored last, so it wins only when strictly better
-    n = H.max_vertex()
-    scored = []
-    for idx, vec in enumerate((np.sort(y_win)[::-1], y_win)):
-        fr = Weighting(vec).rationalized().values
-        w = _expand_to_full(fr, supp, n)
-        scored.append((evaluate(H, w), -idx, w))
-    val_exact, _, w = max(scored)
-
-    res = kkt_residual(H, w)
-    return LagrangianResult(
-        value=float(val_exact),
-        value_exact=val_exact,
-        weighting=w,
-        support_size=len(w.support),
-        kkt_residual=KKTResidual(float(res.on_support), float(res.off_support)),
-        method="multistart",
-        starts_used=cfg.starts,
-        seed=cfg.seed,
-    )
+    fr = Weighting(y_win).rationalized().values
+    return _certified(H, fr, "multistart", cfg.starts, cfg.seed)
 
 
 # -- closed forms and oracles ----------------------------------------------
@@ -610,35 +577,25 @@ def motzkin_straus_value(H: Hypergraph) -> Fraction:
     return Fraction(w - 1, 2 * w)
 
 
-def _compositions(N: int, k: int, chunk: int = 1 << 16):
-    it = itertools.combinations(range(N + k - 1), k - 1)
-    left = np.full((1, 1), -1, dtype=np.int64)
-    right = np.full((1, 1), N + k - 1, dtype=np.int64)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        B = np.array(block, dtype=np.int64).reshape(len(block), k - 1)
-        aug = np.concatenate(
-            [np.broadcast_to(left, (len(block), 1)), B,
-             np.broadcast_to(right, (len(block), 1))], axis=1)
-        yield np.diff(aug, axis=1) - 1
-
-
-def _partitions(N: int, k: int, chunk: int = 1 << 16):
-    # Non-increasing compositions of N into k parts (partitions of N into at
-    # most k parts, zero-padded), in blocks of at most `chunk` rows, all rows
-    # lexicographically ascending.  Built column by column, depth first: a
-    # row with remainder rem takes the values ceil(rem / columns left) ..
-    # min(rem, previous entry), exactly those whose new remainder still fits
-    # under them, so no candidate is built and then dropped.
+def _grid(N: int, k: int, descending: bool, chunk: int = 1 << 16):
+    # Compositions of N into k parts, in blocks of at most `chunk` rows, all
+    # rows lexicographically ascending; if descending, only the non-increasing
+    # ones (partitions of N into at most k parts, zero-padded).  Built column
+    # by column, depth first: a row with remainder rem takes the values
+    # 0 .. rem, the last column exactly rem, or if descending
+    # ceil(rem / columns left) .. min(rem, previous entry).  These are
+    # exactly the values whose new remainder still fits, so no candidate is
+    # built and then dropped.
     def expand(rows, rem, cap):
         col = rows.shape[1]
         if col == k:
             yield rows
             return
-        lo = -(-rem // (k - col))
-        cnt = np.minimum(rem, cap) - lo + 1
+        if descending or col == k - 1:
+            lo = -(-rem // (k - col))
+        else:
+            lo = np.zeros_like(rem)
+        cnt = (np.minimum(rem, cap) if descending else rem) - lo + 1
         end = np.cumsum(cnt)
         for start in range(0, int(end[-1]), chunk):
             idx = np.arange(start, min(start + chunk, int(end[-1])))
@@ -665,8 +622,10 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     Swaps stay on the grid, so some grid maximizer is non-increasing.  The
     support of a left-compressed H is {1..k}, so positions are vertex labels.
     Among non-increasing grid maximizers the one returned has the fewest
-    positive entries, then is lexicographically smallest.  Either set is
-    walked in blocks of 65,536 points, so memory does not grow with N.
+    positive entries, then is lexicographically smallest; among all
+    compositions, the lexicographically smallest.  One walk yields either
+    set, in lexicographic order and in blocks of 65,536 points, so memory
+    does not grow with N.
 
     The 1e8-point guard counts the full grid C(N+k-1, k-1) either way, so the
     same calls raise SizeError whatever the shape of H.
@@ -674,9 +633,8 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     if N < 1:
         raise ValueError("grid denominator N must be >= 1")
     if len(H) == 0:
-        return _degenerate_result(None)
-    supp = H.support
-    k = len(supp)
+        return _certified(H, (), "degenerate", 0, None)
+    k = len(H.support)
     points = binom(N + k - 1, k - 1)
     if points > 10**8:
         raise SizeError(f"grid has {points} points, over the 1e8 guard")
@@ -685,7 +643,7 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     E, _ = _compile_edges(H)
     left_compressed = is_left_compressed(H)[0]
     best_key, best_comp = None, None
-    for comp in _partitions(N, k) if left_compressed else _compositions(N, k):
+    for comp in _grid(N, k, left_compressed):
         vals = np.prod(comp[:, E], axis=2, dtype=np.int64).sum(axis=1)
         tied = np.flatnonzero(vals == vals.max())
         # ties go to the earlier row of the walk; among partitions (walked in
@@ -699,25 +657,7 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
             key = (int(vals[tied[0]]), 0)
         if best_key is None or key > best_key:
             best_key, best_comp = key, comp[tied[i]].copy()
-    best_num = best_key[0]
-    fr = [Fraction(int(c), N) for c in best_comp]
-    # canonical: sort descending when that is exactly value-preserving
-    w = _expand_to_full(sorted(fr, reverse=True), supp, H.max_vertex())
-    val = evaluate(H, w)
-    if val < Fraction(best_num, N**H.r):
-        w = _expand_to_full(fr, supp, H.max_vertex())
-        val = evaluate(H, w)
-    res = kkt_residual(H, w)
-    return LagrangianResult(
-        value=float(val),
-        value_exact=val,
-        weighting=w,
-        support_size=len(w.support),
-        kkt_residual=KKTResidual(float(res.on_support), float(res.off_support)),
-        method="oracle",
-        starts_used=0,
-        seed=None,
-    )
+    return _certified(H, [Fraction(int(c), N) for c in best_comp], "oracle", 0, None)
 
 
 # -- certificates and identities -------------------------------------------

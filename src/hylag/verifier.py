@@ -5,7 +5,7 @@ The conjecture under test: lambda(H^{m,r}) = max{lambda(H) : e(H) = m}.
 Compression arguments reduce the search to left-compressed candidates
 (downsets in the domination order) with bounded support, which this module
 enumerates exactly once each.  Every candidate gets a multistart solve; any
-value within near_tie_tol of the colex baseline (or above it) is re-checked
+value within NEAR_TIE_TOL of the colex baseline (or above it) is re-checked
 against an exact grid oracle, and the counterexample flag is decided by exact
 rational comparison of the two sides' rational certificates.
 
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "m,t,regime,colex_value,best_value,gap,candidates,counterexample"
+ORACLE_DENOMINATOR = 18  # near-tie cross-check: grid oracle over weights k/18
+NEAR_TIE_TOL = 1e-3  # solver values within this of the baseline are cross-checked
 
 
 def float12(x) -> float:
@@ -73,8 +75,6 @@ class VerifyConfig:
     starts: int = 50
     seed: int = 0
     support_slack: int = 2
-    oracle_denominator: int = 18
-    near_tie_tol: float = 1e-3
     require_pair_covering: bool = False
     max_candidates: int = 200_000
     jobs: int = 1
@@ -304,22 +304,16 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
     t, regime = classify_regime(m, r)
     if regime == "R1":
         colex_exact = clique_lagrangian(t - 1, r)
-    else:
-        seg = colex_segment(m, r)
-        try:
-            colex_exact = results[candidates.index(seg)].value_exact
-        except ValueError:  # filtered out by the pair-covering option
-            colex_exact = _solve_args(
-                (seg, cfg.starts, (cfg.seed << 20) + (1 << 20) - 1)
-            ).value_exact
+    else:  # in R2, H^{m,r} has support t <= Tmax and covers every pair: a candidate
+        colex_exact = results[candidates.index(colex_segment(m, r))].value_exact
     colex_float = float(colex_exact)
 
     # near-tie (and above-baseline) candidates get an exact grid cross-check;
     # the oracle value is a certified lower bound, so keep whichever is larger
     for i, res in enumerate(results):
-        if res.value >= colex_float - cfg.near_tie_tol:
+        if res.value >= colex_float - NEAR_TIE_TOL:
             try:
-                orc = grid_oracle(candidates[i], cfg.oracle_denominator)
+                orc = grid_oracle(candidates[i], ORACLE_DENOMINATOR)
             except SizeError:
                 continue
             if orc.value_exact > res.value_exact:
@@ -334,7 +328,7 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
     counterexample = best_res.value_exact > colex_exact
 
     diagnostics = None
-    if counterexample and r >= 2 and t >= 2:
+    if counterexample:
         diagnostics = counterexample_monitor(candidates[best_i], best_res, t)
 
     return VerificationReport(

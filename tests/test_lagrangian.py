@@ -33,7 +33,7 @@ from hylag import (
     symmetrize,
 )
 from hylag import lagrangian
-from hylag.lagrangian import _partitions
+from hylag.lagrangian import _grid
 
 THIRD = Fraction(1, 3)
 STAR = Hypergraph(3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
@@ -673,8 +673,6 @@ def test_result_json_dict():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(starts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
 
 
 # -- grid oracle -------------------------------------------------------------------
@@ -715,9 +713,13 @@ def _partition_count(n, k):
     return _partition_count(n, k - 1) + _partition_count(n - k, k)
 
 
-def test_partitions_rows():
+def _grid_rows(N, k, descending, **kw):
+    return [tuple(row) for block in _grid(N, k, descending, **kw) for row in block.tolist()]
+
+
+def test_grid_rows():
     for N, k in [(1, 1), (7, 1), (2, 5), (3, 4), (6, 6), (9, 4), (24, 7), (18, 8)]:
-        rows = [tuple(row) for block in _partitions(N, k) for row in block.tolist()]
+        rows = _grid_rows(N, k, True)
         assert len(rows) == _partition_count(N, k)
         assert len(set(rows)) == len(rows)
         assert rows == sorted(rows)  # lexicographically ascending
@@ -725,9 +727,17 @@ def test_partitions_rows():
             assert len(row) == k and sum(row) == N
             assert list(row) == sorted(row, reverse=True)
         # small blocks split rows and value ranges alike, same rows in order
-        blocks = list(_partitions(N, k, chunk=3))
+        blocks = list(_grid(N, k, True, chunk=3))
         assert all(0 < len(block) <= 3 for block in blocks)
         assert [tuple(row) for block in blocks for row in block.tolist()] == rows
+    # the general walk: every composition, in the reference's (lexicographic)
+    # order, whole or in blocks of 3 rows
+    for N, k in [(1, 1), (7, 1), (0, 3), (2, 5), (3, 4), (6, 6), (9, 4), (12, 3)]:
+        full = list(_all_compositions(N, k))
+        assert _grid_rows(N, k, False) == full
+        blocks = list(_grid(N, k, False, chunk=3))
+        assert all(0 < len(block) <= 3 for block in blocks)
+        assert [tuple(row) for block in blocks for row in block.tolist()] == full
 
 
 LEFT_COMPRESSED_SMALL = [
@@ -759,7 +769,7 @@ def test_grid_oracle_left_compressed_matches_full_grid(N, monkeypatch):
         assert evaluate(H, pick) == Fraction(best, N**H.r)
         picks.append(pick)
     for chunk in (1 << 16, 2):
-        monkeypatch.setattr(lagrangian, "_partitions", functools.partial(_partitions, chunk=chunk))
+        monkeypatch.setattr(lagrangian, "_grid", functools.partial(_grid, chunk=chunk))
         for H, pick in zip(LEFT_COMPRESSED_SMALL, picks):
             res = grid_oracle(H, N)
             assert res.value_exact == evaluate(H, pick), (chunk, H.edges)

@@ -24,6 +24,7 @@ from hylag import (
     clique_lagrangian,
     colex_segment,
     counterexample_monitor,
+    covers_pairs,
     enumerate_left_compressed,
     float12,
     is_left_compressed,
@@ -251,6 +252,25 @@ def test_candidate_cap():
 def test_pair_covering_can_empty_the_pool():
     with pytest.raises(SizeError):
         verify_conjecture(2, 3, VerifyConfig(starts=4, require_pair_covering=True))
+
+
+def test_r2_colex_segments_cover_every_pair():
+    # in R2, H^{m,r} holds [t-1]^{(r)} plus more than C(t-2,r-1) edges at t,
+    # so the pair-covering filter never drops the baseline candidate
+    checked = 0
+    for r in range(2, 6):
+        for m in range(1, binom(10, r) + 1):
+            if classify_regime(m, r)[1] == "R2":
+                assert covers_pairs(colex_segment(m, r))[0], (m, r)
+                checked += 1
+    assert checked == 255
+
+
+def test_pair_covering_keeps_the_r2_baseline():
+    assert classify_regime(10, 3) == (5, "R2")
+    cfg = VerifyConfig(starts=4)
+    covering = verify_conjecture(10, 3, VerifyConfig(starts=4, require_pair_covering=True))
+    assert covering.colex_value == verify_conjecture(10, 3, cfg).colex_value
 
 
 def test_uniformity_guard():
