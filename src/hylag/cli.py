@@ -31,7 +31,7 @@ from .verifier import (
     float12,
     reports_csv_text,
     reports_json_text,
-    verify_conjecture,
+    verify_many,
     verify_range,
 )
 
@@ -162,7 +162,7 @@ def cmd_verify(args) -> int:
     if args.t is not None:
         reports = verify_range(args.r, args.t, cfg)
     else:
-        reports = [verify_conjecture(m, args.r, cfg) for m in args.m]
+        reports = verify_many(args.m, args.r, cfg)
     _write_text(args.output + ".json", reports_json_text(reports))
     _write_text(args.output + ".csv", reports_csv_text(reports))
     for rep in reports:

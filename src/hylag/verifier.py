@@ -22,9 +22,10 @@ counterexample is known to obey, and flags each bound pass/fail.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -48,6 +49,7 @@ __all__ = [
     "minimal_clique_order",
     "enumerate_left_compressed",
     "verify_conjecture",
+    "verify_many",
     "verify_range",
     "restricted_support_verify",
     "counterexample_monitor",
@@ -270,22 +272,27 @@ def _solve_args(args) -> LagrangianResult:
     return maximize(H, SolverConfig(starts=starts, seed=seed))
 
 
-def _solve_all(candidates: Sequence[Hypergraph], cfg: VerifyConfig) -> list[LagrangianResult]:
+def _solve_all(
+    candidates: Sequence[Hypergraph], cfg: VerifyConfig, pool: Executor | None
+) -> list[LagrangianResult]:
+    """Solve every candidate, in the caller's worker pool when it has one.
+    Candidate i gets the seed (cfg.seed << 20) + i wherever it runs."""
     argses = [
         (H, cfg.starts, (cfg.seed << 20) + i)
         for i, H in enumerate(candidates)
     ]
-    if cfg.jobs > 1 and len(argses) > 1:
+    if pool is not None and len(argses) > 1:
         chunk = max(1, len(argses) // (cfg.jobs * 4))
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
-            return list(ex.map(_solve_args, argses, chunksize=chunk))
+        return list(pool.map(_solve_args, argses, chunksize=chunk))
     return [_solve_args(a) for a in argses]
 
 
 # -- verification core -------------------------------------------------------
 
 
-def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> VerificationReport:
+def _verify_with_cap(
+    m: int, r: int, Tmax: int, cfg: VerifyConfig, pool: Executor | None
+) -> VerificationReport:
     if r < 2:
         raise ValueError("verification needs uniformity r >= 2 (r = 1 is degenerate)")
     candidates: list[Hypergraph] = []
@@ -299,7 +306,7 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
     if not candidates:
         why = "the pair-covering filter removed all" if binom(Tmax, r) >= m else f"C({Tmax},{r}) < {m}"
         raise SizeError(f"no candidates for (m={m}, r={r}, Tmax={Tmax}): {why}")
-    results = _solve_all(candidates, cfg)
+    results = _solve_all(candidates, cfg, pool)
 
     t, regime = classify_regime(m, r)
     if regime == "R1":
@@ -352,15 +359,35 @@ def _verify_with_cap(m: int, r: int, Tmax: int, cfg: VerifyConfig) -> Verificati
     )
 
 
+def verify_many(
+    ms: Sequence[int], r: int, cfg: VerifyConfig | None = None, support_cap: int | None = None
+) -> list[VerificationReport]:
+    """One report per m, in the order given.
+
+    The support cap is support_cap when given, else each m's minimal clique
+    order plus cfg.support_slack.  At cfg.jobs > 1 one worker pool serves
+    every m and is shut down before this returns, also on error.
+    Deterministic given cfg.seed (also across jobs).
+    """
+    cfg = cfg or VerifyConfig()
+    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else contextlib.nullcontext()
+    reports = []
+    with pool as ex:
+        for m in ms:
+            Tmax = support_cap
+            if Tmax is None:
+                Tmax = minimal_clique_order(m, r) + cfg.support_slack
+            reports.append(_verify_with_cap(m, r, Tmax, cfg, ex))
+    return reports
+
+
 def verify_conjecture(m: int, r: int, cfg: VerifyConfig | None = None) -> VerificationReport:
     """Check whether any left-compressed m-edge r-graph beats H^{m,r}.
 
     The support cap is the minimal clique order covering m edges plus
     cfg.support_slack.  Deterministic given cfg.seed (also across jobs).
     """
-    cfg = cfg or VerifyConfig()
-    t0 = minimal_clique_order(m, r)
-    return _verify_with_cap(m, r, t0 + cfg.support_slack, cfg)
+    return verify_many([m], r, cfg)[0]
 
 
 def verify_range(r: int, t: int, cfg: VerifyConfig | None = None) -> list[VerificationReport]:
@@ -369,7 +396,7 @@ def verify_range(r: int, t: int, cfg: VerifyConfig | None = None) -> list[Verifi
     if t < r + 1:
         raise ValueError(f"need t >= r + 1 for a nonempty window, got r={r}, t={t}")
     lo, hi = _plateau_window(r, t)
-    return [verify_conjecture(m, r, cfg) for m in range(lo, hi + 1)]
+    return verify_many(range(lo, hi + 1), r, cfg)
 
 
 def restricted_support_verify(
@@ -377,7 +404,6 @@ def restricted_support_verify(
 ) -> VerificationReport:
     """verify_conjecture with candidates restricted to support in [t] (no
     slack).  m must lie in the plateau window of [t-1]^{(r)}."""
-    cfg = cfg or VerifyConfig()
     if t < r + 1:
         raise ValueError(f"need t >= r + 1, got r={r}, t={t}")
     lo, hi = _plateau_window(r, t)
@@ -385,7 +411,7 @@ def restricted_support_verify(
         raise ValueError(
             f"m={m} outside the restricted-support window [{lo}, {hi}] for (r={r}, t={t})"
         )
-    return _verify_with_cap(m, r, t, cfg)
+    return verify_many([m], r, cfg, support_cap=t)[0]
 
 
 # -- counterexample instrumentation ------------------------------------------

@@ -173,16 +173,16 @@ def test_verify_writes_reports(tmp_path, capsys):
 
 def test_verify_deterministic_files(tmp_path, capsys):
     blobs = []
-    for name in ("a", "b"):
+    for name, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
         base = str(tmp_path / name)
         code, _, _ = run_main(
-            capsys, "verify", "--r", "3", "--m", "3", "--starts", "12",
-            "--seed", "9", "--output", base,
+            capsys, "verify", "--r", "3", "--m", "4", "--m", "5", "--m", "6",
+            "--starts", "12", "--seed", "9", "--jobs", jobs, "--output", base,
         )
         assert code == 0
         blobs.append(((tmp_path / f"{name}.json").read_bytes(),
                       (tmp_path / f"{name}.csv").read_bytes()))
-    assert blobs[0] == blobs[1]
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_verify_repeatable_m(tmp_path, capsys):

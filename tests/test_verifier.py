@@ -7,6 +7,8 @@ dominates (elementwise-smaller after sorting).
 
 import itertools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,7 @@ from hylag import (
     verify_conjecture,
     verify_range,
 )
+from hylag import verifier
 from hylag.verifier import CSV_HEADER
 
 FAST = VerifyConfig(starts=12, seed=0)
@@ -292,9 +295,41 @@ def test_verify_config_validation():
 
 
 def test_jobs_do_not_change_reports():
-    one = verify_conjecture(4, 3, VerifyConfig(starts=12, seed=3, jobs=1))
-    two = verify_conjecture(4, 3, VerifyConfig(starts=12, seed=3, jobs=2))
-    assert reports_json_text([one]) == reports_json_text([two])
+    # one m, and whole windows whose edge counts share one worker pool
+    for run in (
+        lambda cfg: [verify_conjecture(4, 3, cfg)],
+        lambda cfg: verify_range(3, 5, cfg),
+        lambda cfg: verify_range(4, 6, cfg),
+    ):
+        one = run(VerifyConfig(starts=12, seed=3, jobs=1))
+        two = run(VerifyConfig(starts=12, seed=3, jobs=2))
+        assert reports_json_text(one) == reports_json_text(two)
+
+
+def test_one_worker_pool_per_window(monkeypatch):
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", CountingPool)
+    assert len(verify_range(4, 6, VerifyConfig(starts=12, jobs=2))) == 5
+    assert built == [2]
+    verify_range(4, 6, VerifyConfig(starts=12, jobs=1))
+    assert built == [2]
+
+
+def test_error_in_shared_pool_leaves_no_worker():
+    # m = 4, 5, 6 are solved in the pool (3, 4, 5 candidates); m = 7 has 7
+    with pytest.raises(SizeError) as exc:
+        verify_range(3, 5, VerifyConfig(starts=4, jobs=2, max_candidates=6))
+    assert str(exc.value) == (
+        "enumeration for (m=7, r=3, Tmax=7) exceeds 6 candidates; "
+        "raise max_candidates or lower the slack"
+    )
+    assert multiprocessing.active_children() == []
 
 
 # -- counterexample monitor ----------------------------------------------------
