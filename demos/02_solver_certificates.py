@@ -3,10 +3,9 @@
 
 The solver is numeric: a multistart replicator burn-in, then Newton's method
 on each run's face system (all support links equal, weights summing to 1),
-with every run advancing in one stacked solve per step.  It then tries to
-rationalize its answer; when that works the result carries an exact value
-and an exact weighting, and the KKT residuals measure stationarity
-directly.
+with every run advancing in one stacked solve per step.  It then
+rationalizes its answer, so every result carries an exact weighting and the
+exact value there, and the KKT residuals measure stationarity directly.
 """
 
 from hylag import SolverConfig, clique, clique_lagrangian, colex_segment, maximize
@@ -26,7 +25,7 @@ lam = {}
 for m in range(1, 11):
     res = maximize(colex_segment(m, 3), cfg)
     lam[m] = res.value_exact
-    if res.value_exact is not None and res.value_exact.denominator <= 10**6:
+    if res.value_exact.denominator <= 10**6:
         tag = str(res.value_exact)
     else:
         tag = f"~{res.value:.12f} (irrational; rational witness nearby)"

@@ -28,7 +28,6 @@ from .lagrangian import LagrangianResult, SizeError, SolverConfig, grid_oracle, 
 from .suites import SuiteResult, available_suites, run_suite
 from .verifier import (
     VerifyConfig,
-    float12,
     reports_csv_text,
     reports_json_text,
     verify_many,
@@ -121,13 +120,6 @@ def cmd_colex(args) -> int:
     return 0
 
 
-def _result_json_dict(res: LagrangianResult) -> dict:
-    out = res.to_json_dict()
-    for key in ("value_float", "kkt_on_support", "kkt_off_support"):
-        out[key] = float12(out[key])
-    return out
-
-
 def _lambda_exit_code(res: LagrangianResult, tol: float) -> int:
     kkt = res.kkt_residual
     return 3 if (kkt.on_support > tol or kkt.off_support > tol) else 0
@@ -137,9 +129,9 @@ def cmd_lambda(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         H = Hypergraph.from_text(fh.read())
     res = maximize(H, SolverConfig(starts=args.starts, seed=args.seed))
-    payload = _result_json_dict(res)
+    payload = res.to_json_dict()
     if args.oracle_n is not None:
-        payload["oracle"] = _result_json_dict(grid_oracle(H, args.oracle_n))
+        payload["oracle"] = grid_oracle(H, args.oracle_n).to_json_dict()
     _write_text(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return _lambda_exit_code(res, args.tol)
 

@@ -41,10 +41,6 @@ __all__ = [
     "kk_link_bounds",
 ]
 
-# A colex rank is just a nonnegative int (0-based position among all r-sets).
-ColexIndex = int
-
-
 def binom(n: int, k: int) -> int:
     """C(n, k) as a count: zero whenever k < 0 or n < k."""
     if k < 0 or n < k:

@@ -56,6 +56,7 @@ __all__ = [
     "kkt_residual",
     "check_pair_identity",
     "check_scaling_bound",
+    "float12",
 ]
 
 
@@ -65,6 +66,12 @@ class SizeError(ValueError):
 
 def _is_exact(vals: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in vals)
+
+
+def float12(x) -> float:
+    """Round to 12 significant digits (the stable float rendering used in
+    reports, so that serialized output is diffable)."""
+    return float(f"{float(x):.12g}")
 
 
 class Weighting:
@@ -127,17 +134,15 @@ class Weighting:
     def __repr__(self) -> str:
         return f"Weighting({list(self.values)})"
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=float)
-
     def sorted_descending(self) -> "Weighting":
         return Weighting(sorted(self.values, reverse=True))
 
-    def rationalized(self, max_denominator: int = MAX_DENOMINATOR) -> "Weighting":
-        """Exact twin: continued-fraction each entry, renormalize to sum 1."""
+    def rationalized(self) -> "Weighting":
+        """Exact twin: continued-fraction each entry (denominators at most
+        MAX_DENOMINATOR), renormalize to sum 1."""
         if self.is_exact:
             return self
-        fr = [Fraction(v).limit_denominator(max_denominator) for v in self.values]
+        fr = [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in self.values]
         total = sum(fr)
         if total == 0:
             raise ValueError("cannot rationalize the zero vector")
@@ -158,6 +163,10 @@ class Weighting:
         return cls(vals)
 
 
+def _zero(vals: Sequence):
+    return Fraction(0) if _is_exact(vals) else 0.0
+
+
 def _coerce(H: Hypergraph, y) -> tuple:
     vals = y.values if isinstance(y, Weighting) else tuple(y)
     if H.max_vertex() > len(vals):
@@ -175,36 +184,19 @@ def evaluate(H: Hypergraph, y):
     (useful for finite-difference checks).
     """
     vals = _coerce(H, y)
-    if _is_exact(vals):
-        total = Fraction(0)
-        for e in H.edges:
-            p = Fraction(1)
-            for v in e:
-                p *= vals[v - 1]
-            total += p
-        return total
-    total = 0.0
+    total = _zero(vals)
     for e in H.edges:
-        p = 1.0
-        for v in e:
-            p *= vals[v - 1]
-        total += p
+        total += math.prod(vals[v - 1] for v in e)
     return total
 
 
 def partials(H: Hypergraph, y) -> list:
     """Vector of link values: entry i (0-based i-1) is L(H_i, y) = dL/dy_i."""
     vals = _coerce(H, y)
-    exact = _is_exact(vals)
-    zero = Fraction(0) if exact else 0.0
-    out = [zero] * len(vals)
+    out = [_zero(vals)] * len(vals)
     for e in H.edges:
         for v in e:
-            p = Fraction(1) if exact else 1.0
-            for u in e:
-                if u != v:
-                    p *= vals[u - 1]
-            out[v - 1] += p
+            out[v - 1] += math.prod(vals[u - 1] for u in e if u != v)
     return out
 
 
@@ -395,23 +387,32 @@ class KKTResidual:
 
 @dataclass(frozen=True)
 class LagrangianResult:
-    value: float
-    value_exact: Fraction | None
+    """A certified lower bound on lambda(H): value_exact = L(H, weighting),
+    evaluated exactly at the rational weighting."""
+
+    value_exact: Fraction
     weighting: Weighting
-    support_size: int
     kkt_residual: KKTResidual
-    method: str  # closed-form | multistart | oracle | degenerate
+    method: str  # multistart | oracle | degenerate
     starts_used: int
     seed: int | None = None
 
+    @property
+    def value(self) -> float:
+        return float(self.value_exact)
+
+    @property
+    def support_size(self) -> int:
+        return len(self.weighting.support)
+
     def to_json_dict(self) -> dict:
         return {
-            "value": None if self.value_exact is None else str(self.value_exact),
-            "value_float": self.value,
+            "value": str(self.value_exact),
+            "value_float": float12(self.value),
             "weighting": self.weighting.to_json_dict(),
             "support_size": self.support_size,
-            "kkt_on_support": self.kkt_residual.on_support,
-            "kkt_off_support": self.kkt_residual.off_support,
+            "kkt_on_support": float12(self.kkt_residual.on_support),
+            "kkt_off_support": float12(self.kkt_residual.off_support),
             "method": self.method,
             "starts_used": self.starts_used,
             "seed": self.seed,
@@ -446,10 +447,8 @@ def _certified(H: Hypergraph, fr: Sequence[Fraction], method: str, starts: int,
     if raw_val > val:
         w, val = raw, raw_val
     return LagrangianResult(
-        value=float(val),
         value_exact=val,
         weighting=w,
-        support_size=len(w.support),
         kkt_residual=kkt_residual(H, w),
         method=method,
         starts_used=starts,

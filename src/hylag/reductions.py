@@ -1,6 +1,8 @@
-"""Structural improvement moves used for preprocessing and pruning.
+"""Structural improvement moves on hypergraphs and their weightings.
 
-Three facts about Lagrangian maximizers justify these:
+Of the package, only the property suites call them (uncovered calls
+uncovered_pair_reduce, swaps calls find_improving_swap); the verifier does
+not.  Three facts about Lagrangian maximizers justify these:
 
 * if a pair of support vertices lies in no common edge, lambda(H) is attained
   after deleting one of the two vertices, so H reduces to a pair-covering part;
@@ -13,10 +15,10 @@ Three facts about Lagrangian maximizers justify these:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 
 from .hypergraph import Hypergraph, covers_pairs, delete_vertex
-from .lagrangian import Weighting, _is_exact
+from .lagrangian import Weighting
 
 __all__ = [
     "uncovered_pair_reduce",
@@ -63,13 +65,6 @@ def reduce_to_pair_covering(
     return list(done), True
 
 
-def _monomial(vals, edge):
-    p = Fraction(1) if _is_exact(vals) else 1.0
-    for v in edge:
-        p *= vals[v - 1]
-    return p
-
-
 def find_improving_swap(H: Hypergraph, y, margin: float = 1e-12):
     """Find (A in H, B not in H) with L(B, y) > L(A, y) + margin, if any.
 
@@ -85,21 +80,20 @@ def find_improving_swap(H: Hypergraph, y, margin: float = 1e-12):
         return None
     vals = list(y.values if isinstance(y, Weighting) else y)
     fresh = next(v for v in itertools.count(1) if v not in set(H.support))
-    while len(vals) < fresh:
-        vals.append(Fraction(0) if _is_exact(vals) else 0.0)
+    vals += [0] * (fresh - len(vals))
     pool = tuple(sorted(H.support + (fresh,)))
     if len(pool) < H.r:
         return None
-    a_best = min(H.edges, key=lambda e: (_monomial(vals, e), e))
+    a_val, a_best = min((math.prod(vals[v - 1] for v in e), e) for e in H.edges)
     b_best = None
     b_val = None
     for b in itertools.combinations(pool, H.r):
         if b in H:
             continue
-        v = _monomial(vals, b)
-        if b_val is None or v > b_val:
-            b_best, b_val = b, v
-    if b_best is not None and b_val > _monomial(vals, a_best) + margin:
+        w = math.prod(vals[v - 1] for v in b)
+        if b_val is None or w > b_val:
+            b_best, b_val = b, w
+    if b_best is not None and b_val > a_val + margin:
         return a_best, b_best
     return None
 

@@ -37,6 +37,7 @@ from .lagrangian import (
     SolverConfig,
     Weighting,
     clique_lagrangian,
+    float12,
     grid_oracle,
     maximize,
 )
@@ -55,18 +56,11 @@ __all__ = [
     "counterexample_monitor",
     "reports_json_text",
     "reports_csv_text",
-    "float12",
 ]
 
 CSV_HEADER = "m,t,regime,colex_value,best_value,gap,candidates,counterexample"
 ORACLE_DENOMINATOR = 18  # near-tie cross-check: grid oracle over weights k/18
 NEAR_TIE_TOL = 1e-3  # solver values within this of the baseline are cross-checked
-
-
-def float12(x) -> float:
-    """Round to 12 significant digits (the stable float rendering used in
-    reports, so that serialized output is diffable)."""
-    return float(f"{float(x):.12g}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +128,8 @@ class VerificationReport:
     r: int
     t: int
     regime: str  # "R1" | "R2"
-    colex_value: Fraction | None
-    colex_value_float: float
-    best_candidate_value: Fraction | None
-    best_candidate_float: float
+    colex_value: Fraction
+    best_candidate_value: Fraction
     witness: Hypergraph
     witness_weighting: Weighting
     counterexample: bool
@@ -149,13 +141,18 @@ class VerificationReport:
     diagnostics: MonitorDiagnostics | None = None
 
     @property
+    def colex_value_float(self) -> float:
+        return float(self.colex_value)
+
+    @property
+    def best_candidate_float(self) -> float:
+        return float(self.best_candidate_value)
+
+    @property
     def gap(self) -> float:
         return self.colex_value_float - self.best_candidate_float
 
     def to_json_dict(self) -> dict:
-        gap_exact = None
-        if self.colex_value is not None and self.best_candidate_value is not None:
-            gap_exact = self.colex_value - self.best_candidate_value
         return {
             "m": self.m,
             "r": self.r,
@@ -163,7 +160,7 @@ class VerificationReport:
             "regime": self.regime,
             "colex_value": _num(self.colex_value, self.colex_value_float),
             "best_candidate_value": _num(self.best_candidate_value, self.best_candidate_float),
-            "gap": _num(gap_exact, self.gap),
+            "gap": _num(self.colex_value - self.best_candidate_value, self.gap),
             "witness": {
                 "hypergraph": self.witness.to_json_dict(),
                 "weighting": self.witness_weighting.to_json_dict(),
@@ -178,8 +175,8 @@ class VerificationReport:
         }
 
 
-def _num(exact: Fraction | None, flt: float) -> dict:
-    return {"exact": None if exact is None else str(exact), "float": float12(flt)}
+def _num(exact: Fraction, flt: float) -> dict:
+    return {"exact": str(exact), "float": float12(flt)}
 
 
 # -- regimes and baselines ---------------------------------------------------
@@ -326,11 +323,10 @@ def _verify_with_cap(
             if orc.value_exact > res.value_exact:
                 results[i] = orc
 
-    order = sorted(
+    best_i = min(
         range(len(candidates)),
         key=lambda i: (-results[i].value_exact, candidates[i].edges),
     )
-    best_i = order[0]
     best_res = results[best_i]
     counterexample = best_res.value_exact > colex_exact
 
@@ -344,9 +340,7 @@ def _verify_with_cap(
         t=t,
         regime=regime,
         colex_value=colex_exact,
-        colex_value_float=colex_float,
         best_candidate_value=best_res.value_exact,
-        best_candidate_float=best_res.value,
         witness=candidates[best_i],
         witness_weighting=best_res.weighting,
         counterexample=counterexample,
@@ -443,11 +437,7 @@ def counterexample_monitor(G: Hypergraph, result: LagrangianResult, t: int) -> M
     T = len(weights)
     delta = T - t
 
-    threshold = Fraction(binom(t - 1, r), (t - 1) ** r)
-    if result.value_exact is not None:
-        premise = result.value_exact > threshold
-    else:
-        premise = result.value > float(threshold)
+    premise = result.value_exact > Fraction(binom(t - 1, r), (t - 1) ** r)
 
     x1 = weights[0] if T else 0.0
     xT = weights[-1] if T else 0.0

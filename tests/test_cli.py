@@ -122,6 +122,62 @@ def test_lambda_crawl_instance_certified(tmp_path, capsys):
     assert json.loads(stdout)["value"] == "27/4096"
 
 
+# stdout of `hylag lambda --oracle-n 24 --seed 1` on H^{31,3}, whose maximizer
+# is irrational: the solver's rational witness and exact value at it, and the
+# grid oracle's best weighting with entries k/24
+H31_LAMBDA_STDOUT = """\
+{
+  "kkt_off_support": 0.0,
+  "kkt_on_support": 4.21768965417e-12,
+  "method": "multistart",
+  "oracle": {
+    "kkt_off_support": 0.0,
+    "kkt_on_support": 0.0104166666667,
+    "method": "oracle",
+    "seed": null,
+    "starts_used": 0,
+    "support_size": 7,
+    "value": "3/32",
+    "value_float": 0.09375,
+    "weighting": {
+      "values": [
+        "1/6",
+        "1/6",
+        "1/6",
+        "1/6",
+        "1/6",
+        "1/12",
+        "1/12"
+      ]
+    }
+  },
+  "seed": 1,
+  "starts_used": 50,
+  "support_size": 7,
+  "value": "16552596002189075324358720597942116811578062818359/176281659356515684663030814378195026070126817870739",
+  "value_float": 0.0938985715395,
+  "weighting": {
+    "values": [
+      "9715946768894417/56070665399559979",
+      "17992961729335983/112141330799119958",
+      "17992961729335983/112141330799119958",
+      "17992961729335983/112141330799119958",
+      "17992961729335983/112141330799119958",
+      "5184397585996798/56070665399559979",
+      "5184397585996798/56070665399559979"
+    ]
+  }
+}
+"""
+
+
+def test_lambda_pinned_output(tmp_path, capsys):
+    path = write_graph(tmp_path, colex_segment(31, 3))
+    code, stdout, _ = run_main(capsys, "lambda", "--input", path, "--oracle-n", "24", "--seed", "1")
+    assert code == 0
+    assert stdout == H31_LAMBDA_STDOUT
+
+
 def test_lambda_missing_file(capsys):
     code, _, stderr = run_main(capsys, "lambda", "--input", "/nonexistent/g.txt")
     assert code == 2
@@ -140,7 +196,7 @@ def test_lambda_exit_code_unit():
     def fake(on, off):
         w = Weighting([Fraction(1)])
         return LagrangianResult(
-            value=1.0, value_exact=Fraction(1), weighting=w, support_size=1,
+            value_exact=Fraction(1), weighting=w,
             kkt_residual=KKTResidual(on, off), method="synthetic", starts_used=1,
         )
 
@@ -212,6 +268,16 @@ def test_verify_window_flag(tmp_path, capsys):
     )
     assert code == 0
     assert len((tmp_path / "win.csv").read_text().splitlines()) == 3  # header + m=1,2
+
+
+def test_verify_counterexample_exit(tmp_path, capsys):
+    base = str(tmp_path / "cx")
+    code, stdout, _ = run_main(capsys, "verify", "--r", "4", "--m", "11", "--output", base)
+    assert code == 1
+    assert stdout.splitlines()[0].endswith(" COUNTEREXAMPLE")
+    (entry,) = json.loads((tmp_path / "cx.json").read_text())["reports"]
+    assert entry["counterexample"] is True
+    assert entry["diagnostics"]["premise_holds"] is True
 
 
 def test_verify_rejects_r1(capsys):

@@ -666,6 +666,7 @@ def test_result_json_dict():
     res = maximize(clique(3, 3), SolverConfig(starts=4, seed=0))
     d = res.to_json_dict()
     assert d["value"] == "1/27"
+    assert d["value_float"] == 0.037037037037  # float12, not 0.037037037037037035
     assert d["support_size"] == 3
     assert set(d) >= {"value", "value_float", "weighting", "kkt_on_support", "method"}
 

@@ -5,6 +5,7 @@ of edges is a downset iff it contains, for every member edge, every edge it
 dominates (elementwise-smaller after sorting).
 """
 
+import hashlib
 import itertools
 import json
 import multiprocessing
@@ -28,6 +29,7 @@ from hylag import (
     counterexample_monitor,
     covers_pairs,
     enumerate_left_compressed,
+    evaluate,
     float12,
     is_left_compressed,
     maximize,
@@ -332,17 +334,28 @@ def test_error_in_shared_pool_leaves_no_worker():
     assert multiprocessing.active_children() == []
 
 
+def test_r4_counterexample_report():
+    # at m=11, r=4 the best candidate, K_5^{(4)} plus every edge {1, a, b, 6},
+    # beats the solver's value for H^{11,4} (which has 2346 in place of 1456)
+    # by 2.6e-5; the same report comes back at seeds 0, 1 and 7
+    rep = verify_conjecture(11, 4)
+    assert rep.counterexample is True
+    witness = "1234 1235 1245 1345 2345 1236 1246 1346 1256 1356 1456"
+    assert rep.witness == Hypergraph(4, [tuple(map(int, e)) for e in witness.split()])
+    assert rep.best_candidate_value == evaluate(rep.witness, rep.witness_weighting)
+    assert rep.best_candidate_value > rep.colex_value
+    d = rep.diagnostics
+    assert d.premise_holds
+    assert d.bound_flags["T_bound"] == d.bound_flags["x1_bound"] == "pass"
+
+
 # -- counterexample monitor ----------------------------------------------------
 
 
 def synthetic_result(weights, value):
-    w = Weighting(weights)
-    exact = value if isinstance(value, Fraction) else None
     return LagrangianResult(
-        value=float(value),
-        value_exact=exact,
-        weighting=w,
-        support_size=len(w.support),
+        value_exact=value,
+        weighting=Weighting(weights),
         kkt_residual=KKTResidual(0.0, 0.0),
         method="synthetic",
         starts_used=0,
@@ -440,6 +453,15 @@ def test_reports_byte_identical():
     assert a == b
     assert a.endswith("\n")
     assert reports_csv_text(verify_range(3, 4, cfg)) == reports_csv_text(verify_range(3, 4, cfg))
+
+
+def test_reports_pinned_bytes():
+    # every report field, exact and float, of the r=3, t=5 window at seed 1:
+    # a change to these bytes is a change to the report format or results
+    text = reports_json_text(verify_range(3, 5, VerifyConfig(seed=1)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "2293b974c02265e48b1fffd07bde62dac12bcc1593ff78070b81df074236510d"
+    )
 
 
 def test_json_is_canonical():
