@@ -2,8 +2,9 @@
 
 For an r-graph H and a weight vector y, L(H, y) = sum over edges A of
 prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
-standard simplex (y >= 0, sum y = 1).  This module evaluates L exactly or in
-floats, maximizes it by a multistart replicator burn-in (from the uniform
+standard simplex (y >= 0, sum y = 1).  This module evaluates L and its links
+L(H_i, y) in one pass (exact weights as integers over a common denominator),
+maximizes it by a multistart replicator burn-in (from the uniform
 point and seeded Dirichlet samples, at most BURN_IN steps) finished by
 Newton's method on each run's face (all runs stepped together, one stacked
 symmetric eigen-solve per step, the step doubled where it halves at a
@@ -18,8 +19,9 @@ Reported maximizer weightings are rationalized (continued fractions,
 bounded denominator) and the reported value is the exact evaluation at that
 rational point, so every result is a certified lower bound on lambda(H).
 The solver and the grid oracle build their results the same way: the exact
-weights in descending order unless the found order is strictly better, then
-the exact value and KKT residuals.
+weights in descending order unless the found order is strictly better, with
+the exact value and KKT residuals from that order's one pass.  The found
+order is scored only when it is not descending already.
 """
 
 from __future__ import annotations
@@ -134,9 +136,6 @@ class Weighting:
     def __repr__(self) -> str:
         return f"Weighting({list(self.values)})"
 
-    def sorted_descending(self) -> "Weighting":
-        return Weighting(sorted(self.values, reverse=True))
-
     def rationalized(self) -> "Weighting":
         """Exact twin: continued-fraction each entry (denominators at most
         MAX_DENOMINATOR), renormalize to sum 1."""
@@ -163,10 +162,6 @@ class Weighting:
         return cls(vals)
 
 
-def _zero(vals: Sequence):
-    return Fraction(0) if _is_exact(vals) else 0.0
-
-
 def _coerce(H: Hypergraph, y) -> tuple:
     vals = y.values if isinstance(y, Weighting) else tuple(y)
     if H.max_vertex() > len(vals):
@@ -176,6 +171,34 @@ def _coerce(H: Hypergraph, y) -> tuple:
     return vals
 
 
+def _value_links(H: Hypergraph, vals: Sequence) -> tuple:
+    # (S, G, D) with L(H, vals) = S / D**r and L(H_i, vals) = G[i-1] / D**(r-1),
+    # from one walk over the edges.  Exact entries are scaled to integers
+    # a_i = vals[i-1] * D over D, the lcm of their denominators, so the walk
+    # adds Python ints and takes no gcd.  Float entries go through unscaled
+    # (D = 1): each product multiplies left to right, as math.prod does
+    if _is_exact(vals):
+        D = math.lcm(*(v.denominator for v in vals))
+        x = [v.numerator * (D // v.denominator) for v in vals]
+        S, G = 0, [0] * len(x)
+    else:
+        D, x = 1, vals
+        S, G = 0.0, [0.0] * len(x)
+    for e in H.edges:
+        p = [x[v - 1] for v in e]
+        pre = 1  # product of p[:j]
+        for j, v in enumerate(e):
+            G[v - 1] += math.prod(p[j + 1:], start=pre)
+            pre *= p[j]
+        S += pre
+    return S, G, D
+
+
+def _scaled(num, den: int):
+    # num / den: exact when num is an int, num itself (den is 1) when a float
+    return Fraction(num, den) if isinstance(num, int) else num
+
+
 def evaluate(H: Hypergraph, y):
     """L(H, y) = sum over edges of the product of entry weights.
 
@@ -183,21 +206,14 @@ def evaluate(H: Hypergraph, y):
     any vector covering the support of H; it need not lie on the simplex
     (useful for finite-difference checks).
     """
-    vals = _coerce(H, y)
-    total = _zero(vals)
-    for e in H.edges:
-        total += math.prod(vals[v - 1] for v in e)
-    return total
+    S, _, D = _value_links(H, _coerce(H, y))
+    return _scaled(S, D**H.r)
 
 
 def partials(H: Hypergraph, y) -> list:
     """Vector of link values: entry i (0-based i-1) is L(H_i, y) = dL/dy_i."""
-    vals = _coerce(H, y)
-    out = [_zero(vals)] * len(vals)
-    for e in H.edges:
-        for v in e:
-            out[v - 1] += math.prod(vals[u - 1] for u in e if u != v)
-    return out
+    _, G, D = _value_links(H, _coerce(H, y))
+    return [_scaled(g, D ** (H.r - 1)) for g in G]
 
 
 # -- numeric kernel --------------------------------------------------------
@@ -442,14 +458,18 @@ def _certified(H: Hypergraph, fr: Sequence[Fraction], method: str, starts: int,
             full[v - 1] = x
         return Weighting(full)
 
-    w, raw = expand(sorted(fr, reverse=True)), expand(fr)
-    val, raw_val = evaluate(H, w), evaluate(H, raw)
-    if raw_val > val:
-        w, val = raw, raw_val
+    desc = sorted(fr, reverse=True)
+    w = expand(desc)
+    S, G, D = _value_links(H, w.values)
+    if list(fr) != desc:
+        raw = expand(fr)
+        raw_S, raw_G, _ = _value_links(H, raw.values)
+        if raw_S > S:  # the same entries, so the same D
+            w, S, G = raw, raw_S, raw_G
     return LagrangianResult(
-        value_exact=val,
+        value_exact=Fraction(S, D**H.r),
         weighting=w,
-        kkt_residual=kkt_residual(H, w),
+        kkt_residual=_kkt(H.r, w.values, S, G, D),
         method=method,
         starts_used=starts,
         seed=seed,
@@ -682,19 +702,20 @@ def symmetrize(H: Hypergraph, y, i: int, j: int) -> Weighting:
     return Weighting(vals)
 
 
+def _kkt(r: int, vals: Sequence, S, G: list, D: int) -> KKTResidual:
+    # KKTResidual from _value_links's output: L(H_i) - r L(H) is
+    # (G_i D - r S) / D**r, so exact residuals stay integers until one
+    # division, the correctly rounded float of the exact maximum
+    res = [g * D - r * S for g in G]
+    on = max((abs(d) for d, v in zip(res, vals) if v > 0), default=0)
+    off = max((d for d, v in zip(res, vals) if v == 0), default=0)
+    return KKTResidual(on_support=float(on / D**r), off_support=float(off / D**r))
+
+
 def kkt_residual(H: Hypergraph, y) -> KKTResidual:
     """First-order residuals of y as a candidate maximizer (see KKTResidual)."""
     vals = _coerce(H, y)
-    L = evaluate(H, vals)
-    g = partials(H, vals)
-    target = H.r * L
-    on = [abs(g[i] - target) for i, v in enumerate(vals) if v > 0]
-    off = [g[i] - target for i, v in enumerate(vals) if v == 0]
-    zero = 0
-    return KKTResidual(
-        on_support=float(max(on, default=zero)),
-        off_support=float(max(off, default=zero)),
-    )
+    return _kkt(H.r, vals, *_value_links(H, vals))
 
 
 def check_pair_identity(H: Hypergraph, y, i: int, j: int):

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, environment defaults."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -176,6 +177,22 @@ def test_lambda_pinned_output(tmp_path, capsys):
     code, stdout, _ = run_main(capsys, "lambda", "--input", path, "--oracle-n", "24", "--seed", "1")
     assert code == 0
     assert stdout == H31_LAMBDA_STDOUT
+
+
+def test_lambda_oracle_t7_pinned_bytes(tmp_path, capsys):
+    # the stdouts of `hylag lambda --oracle-n 24 --seed 1` on H^{m,3},
+    # m = 21..35, concatenated: every exact value, weighting, residual and
+    # oracle result of the t=7 colex segments
+    out = []
+    for m in range(21, 36):
+        path = write_graph(tmp_path, colex_segment(m, 3), f"H{m}.txt")
+        code, stdout, _ = run_main(capsys, "lambda", "--input", path, "--oracle-n", "24",
+                                   "--seed", "1")
+        assert code == 0
+        out.append(stdout)
+    assert hashlib.sha256("".join(out).encode("utf-8")).hexdigest() == (
+        "b452345f5cb7595cf736b83ce1fc22c7b804e43d08bb4cbe8217be469b7ae193"
+    )
 
 
 def test_lambda_missing_file(capsys):

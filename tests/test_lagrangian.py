@@ -11,6 +11,7 @@ import pytest
 
 from hylag import (
     Hypergraph,
+    KKTResidual,
     SizeError,
     SolverConfig,
     Weighting,
@@ -94,11 +95,6 @@ def test_weighting_json_round_trip():
         assert back == w and back.is_exact == w.is_exact
 
 
-def test_weighting_sorted_descending():
-    w = Weighting([0.2, 0.5, 0.3]).sorted_descending()
-    assert w.values == (0.5, 0.3, 0.2)
-
-
 # -- evaluate / partials ---------------------------------------------------------
 
 
@@ -172,6 +168,82 @@ def test_partials_match_finite_differences():
             bumped[i] += eps
             fd = (evaluate(H, bumped) - base) / eps
             assert abs(p[i] - fd) <= 1e-5
+
+
+def _fraction_reference(H, y):
+    # L, the links and the KKT residuals in plain Fraction arithmetic
+    y = [Fraction(v) for v in y]
+    L = sum((math.prod(y[v - 1] for v in e) for e in H.edges), Fraction(0))
+    g = [sum((math.prod(y[u - 1] for u in e if u != v) for e in H.edges if v in e), Fraction(0))
+         for v in range(1, len(y) + 1)]
+    d = [gi - H.r * L for gi in g]
+    on = max((abs(di) for di, v in zip(d, y) if v > 0), default=Fraction(0))
+    off = max((di for di, v in zip(d, y) if v == 0), default=Fraction(0))
+    return L, g, KKTResidual(float(on), float(off))
+
+
+def _float_reference(H, y):
+    # the float math.prod loops that the one-pass evaluation replaced
+    L = 0.0
+    g = [0.0] * len(y)
+    for e in H.edges:
+        L += math.prod(y[v - 1] for v in e)
+        for v in e:
+            g[v - 1] += math.prod(y[u - 1] for u in e if u != v)
+    d = [gi - H.r * L for gi in g]
+    on = max((abs(di) for di, v in zip(d, y) if v > 0), default=0)
+    off = max((di for di, v in zip(d, y) if v == 0), default=0)
+    return L, g, KKTResidual(float(on), float(off))
+
+
+def _exact_vectors(rng, n):
+    # rationalized Dirichlet, grid points k/N, ints, zeros, off the simplex
+    g = [rng.expovariate(1.0) for _ in range(n)]
+    w = Weighting(v / math.fsum(g) for v in g).rationalized().values
+    N = rng.randint(1, 30)
+    cuts = sorted(rng.randint(0, N) for _ in range(n - 1))
+    grid = [Fraction(b - a, N) for a, b in zip([0] + cuts, cuts + [N])]
+    ints = [rng.randint(-3, 5) for _ in range(n)]
+    zeros = [v if rng.random() < 0.5 else Fraction(0) for v in w]
+    free = [Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)) for _ in range(n)]
+    return [w, grid, ints, zeros, free]
+
+
+def test_exact_pass_matches_fraction_reference():
+    rng = random.Random(13)
+    big = 0
+    for _ in range(150):
+        r = rng.randint(2, 5)
+        n = rng.randint(r, 8)
+        H = _random_graph(rng, r, n)
+        vectors = _exact_vectors(rng, n)
+        big += max(v.denominator for v in vectors[0]) > 10**6
+        for y in vectors:
+            L, g, kkt = _fraction_reference(H, y)
+            got = evaluate(H, y)
+            assert type(got) is Fraction and got == L
+            assert partials(H, y) == g
+            assert all(type(v) is Fraction for v in partials(H, y))
+            assert kkt_residual(H, y) == kkt
+    assert big >= 100  # renormalized, the Dirichlet weights pass MAX_DENOMINATOR
+
+
+def test_float_pass_is_bit_identical():
+    rng = random.Random(14)
+    for _ in range(150):
+        r = rng.randint(2, 5)
+        n = rng.randint(r, 8)
+        H = _random_graph(rng, r, n)
+        dirichlet = [rng.expovariate(1.0) for _ in range(n)]
+        free = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+        zeros = [v if rng.random() < 0.5 else 0.0 for v in dirichlet]
+        for y in (dirichlet, free, zeros, list(np.array(free))):
+            L, g, kkt = _float_reference(H, y)
+            assert evaluate(H, y).hex() == L.hex()
+            assert [v.hex() for v in partials(H, y)] == [v.hex() for v in g]
+            got = kkt_residual(H, y)
+            assert (got.on_support.hex(), got.off_support.hex()) == (
+                kkt.on_support.hex(), kkt.off_support.hex())
 
 
 # -- numeric kernel ----------------------------------------------------------------
@@ -363,15 +435,49 @@ def test_maximize_weighting_descends():
         assert evaluate(C, res.weighting) == res.value_exact
 
 
-def test_maximize_polishes_unsorted_winner():
+def _count_passes(monkeypatch):
+    calls = []
+    one_pass = lagrangian._value_links
+
+    def counting(H, vals):
+        calls.append(vals)
+        return one_pass(H, vals)
+
+    monkeypatch.setattr(lagrangian, "_value_links", counting)
+    return calls
+
+
+def test_maximize_polishes_unsorted_winner(monkeypatch):
     # not left-compressed: the descending rearrangement of the best run loses
     # value, so the reported weighting is the winner itself, and it must be
     # certified at the CLI's default tolerance without the rearrangement
     H = Hypergraph(3, [(1, 2, 3), (1, 3, 4), (2, 3, 4), (1, 2, 5), (1, 3, 5), (2, 3, 5),
                        (2, 4, 5), (1, 2, 6), (1, 3, 6), (2, 3, 6), (1, 4, 6), (4, 5, 6)])
+    calls = _count_passes(monkeypatch)
     res = maximize(H, SolverConfig(starts=50, seed=0))
     assert res.kkt_residual.on_support <= 1e-7
     assert res.kkt_residual.off_support <= 1e-7
+    # both orders were scored, one pass each, and the raw one won strictly
+    assert len(calls) == 2
+    vals = res.weighting.values
+    assert res.value_exact == evaluate(H, vals) > evaluate(H, sorted(vals, reverse=True))
+    assert res.kkt_residual == kkt_residual(H, vals)
+
+
+def test_certified_scores_raw_order_only_when_unsorted(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    desc = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    res = lagrangian._certified(clique(3, 2), desc, "oracle", 0, None)
+    assert len(calls) == 1 and res.value_exact == Fraction(5, 16)
+    calls.clear()
+    grid_oracle(colex_segment(8, 3), 12)  # left-compressed: descending grid points
+    assert len(calls) == 1
+    calls.clear()
+    # a descending star loses to its raw order: vertex 1 is the centre
+    res = lagrangian._certified(STAR, [STAR_MAX[1], STAR_MAX[0], *STAR_MAX[2:]], "oracle", 0, None)
+    assert len(calls) == 2
+    assert res.weighting.values == STAR_MAX and res.value_exact == Fraction(4, 81)
+    assert res.kkt_residual == KKTResidual(0.0, 0.0)
 
 
 CRAWL = "1234 1235 1245 1345 1236 1246 1256 1237 1247 1257"
