@@ -14,7 +14,6 @@ the Kruskal-Katona-style bounds on link sizes of left-compressed graphs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -172,20 +171,6 @@ class Hypergraph:
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Hypergraph":
-        try:
-            return cls(int(obj["r"]), obj["edges"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed hypergraph JSON: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Hypergraph":
-        return cls.from_json_dict(json.loads(text))
 
     def to_text(self) -> str:
         """Edge-list text: `r=<int>` header, one ascending edge per line."""

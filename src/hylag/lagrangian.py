@@ -15,9 +15,10 @@ singular root), and certifies candidate maximizers three independent ways:
 * exact closed forms (cliques, Motzkin-Straus for r=2);
 * an exact-rational grid oracle over weightings with entries k/N.
 
-Reported maximizer weightings are rationalized (continued fractions,
-bounded denominator) and the reported value is the exact evaluation at that
-rational point, so every result is a certified lower bound on lambda(H).
+A Weighting is always exact.  The solver's float rows become certificates
+in one place, _rationalize (continued fractions with bounded denominator,
+renormalized to sum 1), and the reported value is the exact evaluation at
+that rational point, so every result is a certified lower bound on lambda(H).
 The solver and the grid oracle build their results the same way: the exact
 weights in descending order unless the found order is strictly better, with
 the exact value and KKT residuals from that order's one pass.  The found
@@ -77,39 +78,26 @@ def float12(x) -> float:
 
 
 class Weighting:
-    """A weight vector on vertices 1..n; values[i-1] is the weight of vertex i.
+    """An exact weight vector: values[i-1] is the weight of vertex i.
 
-    Entries are either all exact rationals (Fraction/int; must sum to exactly
-    1) or floats (must sum to 1 within 1e-12).  All entries are nonnegative.
-    The empty weighting is legal as the degenerate weighting of an edgeless
-    hypergraph.
+    Entries are Fraction/int, stored as Fractions, nonnegative and summing to
+    exactly 1; anything else raises ValueError.  The empty weighting is legal
+    as the degenerate weighting of an edgeless hypergraph.  Float vectors go
+    to evaluate, partials, kkt_residual and symmetrize as plain sequences.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable):
         vals = tuple(values)
-        if _is_exact(vals):
-            vals = tuple(Fraction(v) for v in vals)
-            if vals and sum(vals) != 1:
-                raise ValueError(f"exact weighting sums to {sum(vals)}, not 1")
-        else:
-            vals = tuple(float(v) for v in vals)
-            if vals and abs(math.fsum(vals) - 1.0) > 1e-12:
-                raise ValueError(f"weighting sums to {math.fsum(vals)!r}, not 1")
+        if not _is_exact(vals):
+            raise ValueError("weighting entries must be Fraction or int")
+        vals = tuple(Fraction(v) for v in vals)
+        if vals and sum(vals) != 1:
+            raise ValueError(f"weighting sums to {sum(vals)}, not 1")
         if any(v < 0 for v in vals):
             raise ValueError("weighting entries must be nonnegative")
         self.values = vals
-
-    @classmethod
-    def uniform(cls, n: int) -> "Weighting":
-        if n < 1:
-            raise ValueError("uniform weighting needs n >= 1")
-        return cls([Fraction(1, n)] * n)
-
-    @property
-    def is_exact(self) -> bool:
-        return _is_exact(self.values)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -136,30 +124,16 @@ class Weighting:
     def __repr__(self) -> str:
         return f"Weighting({list(self.values)})"
 
-    def rationalized(self) -> "Weighting":
-        """Exact twin: continued-fraction each entry (denominators at most
-        MAX_DENOMINATOR), renormalize to sum 1."""
-        if self.is_exact:
-            return self
-        fr = [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in self.values]
-        total = sum(fr)
-        if total == 0:
-            raise ValueError("cannot rationalize the zero vector")
-        if total != 1:
-            fr = [f / total for f in fr]
-        return Weighting(fr)
-
     def to_json_dict(self) -> dict:
-        if self.is_exact:
-            return {"values": [str(v) for v in self.values]}
-        return {"values": list(self.values)}
+        return {"values": [str(v) for v in self.values]}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Weighting":
-        vals = []
-        for v in obj["values"]:
-            vals.append(Fraction(v) if isinstance(v, str) else v)
-        return cls(vals)
+
+def _rationalize(y) -> list[Fraction]:
+    # the certificate of a float row: each entry's continued fraction with
+    # denominator at most MAX_DENOMINATOR, renormalized to sum 1
+    fr = [Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in y]
+    total = sum(fr)
+    return fr if total == 1 else [f / total for f in fr]
 
 
 def _coerce(H: Hypergraph, y) -> tuple:
@@ -378,7 +352,8 @@ def _newton_faces(E, n, r, Y, chunk=64):
 def _distinct(Y, rows) -> list[int]:
     # the first of the given rows of Y within 1e-6 (max norm) of each other:
     # in order, each row kept drops every row near it.  X holds one weight
-    # coordinate per row, so a distance row is a max over n long rows
+    # coordinate per row, so a distance row is a max over n long rows.
+    # Kept for cost: dropping any call leaves outputs alone but slows maximize
     rows = np.fromiter(rows, dtype=np.int64)
     X = Y[rows].T.copy()
     left = np.ones(len(rows), dtype=bool)
@@ -490,13 +465,13 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     drop their smallest weight while the value holds to rounding, so a flat
     face yields a point of minimal support.  Among the distinct ones of those
     runs the one with the fewest positive weights wins, then the
-    lexicographically largest descending weighting, compared exactly once each
-    weight is rounded to a fraction with denominator at most MAX_DENOMINATOR,
-    then the lexicographically smallest tuple of support vertices.  So of
-    several maximizers with the same weights on different vertices, the one
-    reported does not depend on last-bit rounding.  The winner is
-    rationalized, sorted descending unless its own order is strictly better,
-    and re-evaluated exactly; `value` is the float of that exact certificate.
+    lexicographically largest descending weighting, compared exactly once the
+    row is rationalized as the winner is, then the lexicographically smallest
+    tuple of support vertices.  So of several maximizers with the same weights
+    on different vertices, the one reported does not depend on last-bit
+    rounding.  The winner is rationalized, sorted descending unless its own
+    order is strictly better, and re-evaluated exactly; `value` is the float
+    of that exact certificate.
     Deterministic given cfg.seed.
     """
     cfg = cfg or SolverConfig()
@@ -539,13 +514,12 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     # on the first two
     def rank(t):
         on = Y[t] > ZERO_TOL
-        neg = sorted(-Fraction(v).limit_denominator(MAX_DENOMINATOR) for v in Y[t])
+        neg = sorted(-v for v in _rationalize(Y[t]))
         return on.sum(), neg, tuple(np.flatnonzero(on))
 
     # rationalizing is monotone, so _certified's sort of the fractions is
     # the rationalized sort of the floats
-    y_win = Y[min(_distinct(Y, tie_rows), key=rank)]
-    fr = Weighting(y_win).rationalized().values
+    fr = _rationalize(Y[min(_distinct(Y, tie_rows), key=rank)])
     return _certified(H, fr, "multistart", cfg.starts, cfg.seed)
 
 
@@ -682,24 +656,21 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
 # -- certificates and identities -------------------------------------------
 
 
-def symmetrize(H: Hypergraph, y, i: int, j: int) -> Weighting:
+def symmetrize(H: Hypergraph, y, i: int, j: int) -> tuple:
     """Average the weights of two exchangeable vertices: z_i = z_j = (y_i+y_j)/2.
 
     Requires i <-> j to be an automorphism direction, i.e. link_diff empty
-    both ways; then L(H, z) >= L(H, y).
+    both ways; then L(H, z) >= L(H, y).  y is a Weighting or a plain
+    sequence; z is a tuple, exact when y is exact and float otherwise.
     """
     if len(link_diff(H, i, j)) or len(link_diff(H, j, i)):
         raise ValueError(f"vertices {i} and {j} are not exchangeable in H")
     vals = list(y.values if isinstance(y, Weighting) else y)
     if max(i, j) > len(vals):
         raise ValueError("weighting does not cover the requested vertices")
-    if _is_exact(vals):
-        avg = (Fraction(vals[i - 1]) + Fraction(vals[j - 1])) / 2
-    else:
-        avg = (vals[i - 1] + vals[j - 1]) / 2.0
-    vals[i - 1] = avg
-    vals[j - 1] = avg
-    return Weighting(vals)
+    pair = vals[i - 1] + vals[j - 1]
+    vals[i - 1] = vals[j - 1] = Fraction(pair, 2) if _is_exact(vals) else pair / 2
+    return tuple(vals)
 
 
 def _kkt(r: int, vals: Sequence, S, G: list, D: int) -> KKTResidual:

@@ -79,9 +79,10 @@ def find_improving_swap(H: Hypergraph, y, margin: float = 1e-12):
     if len(H) == 0:
         return None
     vals = list(y.values if isinstance(y, Weighting) else y)
-    fresh = next(v for v in itertools.count(1) if v not in set(H.support))
+    supp = set(H.support)
+    fresh = next(v for v in itertools.count(1) if v not in supp)
     vals += [0] * (fresh - len(vals))
-    pool = tuple(sorted(H.support + (fresh,)))
+    pool = tuple(sorted(supp | {fresh}))
     if len(pool) < H.r:
         return None
     a_val, a_best = min((math.prod(vals[v - 1] for v in e), e) for e in H.edges)

@@ -7,7 +7,6 @@ which are themselves tested before anything relies on them.
 
 import functools
 import itertools
-import json
 import random
 
 import pytest
@@ -228,10 +227,9 @@ def test_text_parse_errors():
 
 def test_json_round_trip():
     H = colex_segment(5, 4)
-    assert Hypergraph.from_json(H.to_json()) == H
-    assert json.loads(H.to_json())["r"] == 4
-    with pytest.raises(ValueError):
-        Hypergraph.from_json_dict({"edges": [[1, 2]]})
+    assert H.to_json_dict() == {"r": 4, "edges": [[1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5],
+                                                  [1, 3, 4, 5], [2, 3, 4, 5]]}
+    assert Hypergraph(4, H.to_json_dict()["edges"]) == H
 
 
 # -- links ---------------------------------------------------------------------

@@ -54,27 +54,23 @@ def rational_simplex(rng, n):
 
 def test_weighting_exact_mode():
     w = Weighting([Fraction(1, 2), Fraction(1, 2)])
-    assert w.is_exact
     assert w.support == (1, 2)
-    assert Weighting.uniform(4).values == (Fraction(1, 4),) * 4
-
-
-def test_weighting_float_mode():
-    w = Weighting([0.5, 0.25, 0.25])
-    assert not w.is_exact
-    assert w.values == (0.5, 0.25, 0.25)
+    assert Weighting([1, 0]).values == (Fraction(1), Fraction(0))
+    assert all(type(v) is Fraction for v in Weighting([1, 0]).values)
 
 
 def test_weighting_validation():
     with pytest.raises(ValueError):
         Weighting([Fraction(1, 2), Fraction(1, 3)])  # exact sum != 1
     with pytest.raises(ValueError):
-        Weighting([0.5, 0.6])
-    with pytest.raises(ValueError):
         Weighting([Fraction(3, 2), Fraction(-1, 2)])
-    Weighting(())  # empty is the degenerate weighting and is legal
+    # float and numpy-float entries are rejected, even summing to 1
+    for floats in ([0.5, 0.5], [Fraction(1, 2), 0.5], list(np.array([0.5, 0.5]))):
+        with pytest.raises(ValueError):
+            Weighting(floats)
     with pytest.raises(ValueError):
-        Weighting.uniform(0)
+        Weighting([True, False])  # bool is not a weight
+    Weighting(())  # empty is the degenerate weighting and is legal
 
 
 def test_weighting_support_skips_zeros():
@@ -82,17 +78,18 @@ def test_weighting_support_skips_zeros():
     assert w.support == (1, 3)
 
 
-def test_weighting_rationalized():
-    w = Weighting([1 / 3, 2 / 3]).rationalized()
-    assert w.values == (THIRD, Fraction(2, 3))
-    exact = Weighting([Fraction(1, 4)] * 4)
-    assert exact.rationalized() is exact
+def test_rationalize():
+    assert lagrangian._rationalize([1 / 3, 2 / 3]) == [THIRD, Fraction(2, 3)]
+    assert lagrangian._rationalize(np.array([0.25] * 4)) == [Fraction(1, 4)] * 4
+    # continued fractions that miss sum 1 are renormalized: 1/7 + 6/7 - 1e-7
+    fr = lagrangian._rationalize([1 / 7, 6 / 7 - 1e-7])
+    assert sum(fr) == 1 and all(type(v) is Fraction for v in fr)
+    assert fr[0] > Fraction(1, 7)
 
 
-def test_weighting_json_round_trip():
-    for w in (Weighting([Fraction(2, 5), Fraction(3, 5)]), Weighting([0.125, 0.875])):
-        back = Weighting.from_json_dict(w.to_json_dict())
-        assert back == w and back.is_exact == w.is_exact
+def test_weighting_json_is_strings():
+    w = Weighting([Fraction(2, 5), Fraction(3, 5), 0])
+    assert w.to_json_dict() == {"values": ["2/5", "3/5", "0"]}
 
 
 # -- evaluate / partials ---------------------------------------------------------
@@ -199,7 +196,7 @@ def _float_reference(H, y):
 def _exact_vectors(rng, n):
     # rationalized Dirichlet, grid points k/N, ints, zeros, off the simplex
     g = [rng.expovariate(1.0) for _ in range(n)]
-    w = Weighting(v / math.fsum(g) for v in g).rationalized().values
+    w = lagrangian._rationalize(v / math.fsum(g) for v in g)
     N = rng.randint(1, 30)
     cuts = sorted(rng.randint(0, N) for _ in range(n - 1))
     grid = [Fraction(b - a, N) for a, b in zip([0] + cuts, cuts + [N])]
@@ -911,7 +908,7 @@ def test_grid_oracle_guards():
 
 def test_symmetrize_single_edge():
     z = symmetrize(clique(3, 3), [0.5, 0.3, 0.2], 2, 3)
-    assert z.values == (0.5, 0.25, 0.25)
+    assert z == (0.5, 0.25, 0.25)
     before = evaluate(clique(3, 3), [0.5, 0.3, 0.2])
     after = evaluate(clique(3, 3), z)
     assert abs(before - 0.030) < 1e-12
@@ -922,13 +919,17 @@ def test_symmetrize_single_edge():
 def test_symmetrize_fixpoint():
     y = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
     z = symmetrize(clique(3, 3), y, 1, 2)
-    assert z.values == tuple(y)
+    assert z == tuple(y)
+    z = symmetrize(clique(3, 3), Weighting(y), 1, 3)
+    assert z == (Fraction(3, 8), Fraction(1, 4), Fraction(3, 8))
+    assert all(type(v) is Fraction for v in z)
+    assert symmetrize(clique(3, 3), [1, 0, 0], 1, 2) == (Fraction(1, 2), Fraction(1, 2), 0)
 
 
 def test_symmetrize_star_pair():
     z = symmetrize(STAR, [0.4, 0.3, 0.2, 0.1], 3, 4)
-    assert z.values == (0.4, 0.3, 0.15000000000000002, 0.15000000000000002) or \
-        z.values == (0.4, 0.3, 0.15, 0.15)
+    assert z == (0.4, 0.3, 0.15000000000000002, 0.15000000000000002) or \
+        z == (0.4, 0.3, 0.15, 0.15)
     assert evaluate(STAR, z) >= evaluate(STAR, [0.4, 0.3, 0.2, 0.1])
 
 
