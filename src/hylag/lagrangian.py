@@ -3,22 +3,25 @@
 For an r-graph H and a weight vector y, L(H, y) = sum over edges A of
 prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
 standard simplex (y >= 0, sum y = 1).  This module evaluates L and its links
-L(H_i, y) in one pass (exact weights as integers over a common denominator),
-maximizes it by a multistart replicator burn-in (from the uniform
-point and seeded Dirichlet samples, at most BURN_IN steps) finished by
-Newton's method on each run's face (all runs stepped together, one stacked
-symmetric eigen-solve per step, the step doubled where it halves at a
-singular root), and certifies candidate maximizers three independent ways:
+L(H_i, y) exactly in one pass (the weights as integers over a common
+denominator), maximizes it by a multistart replicator burn-in (from the
+uniform point and seeded Dirichlet samples, at most BURN_IN steps) finished
+by Newton's method on each run's face (all runs stepped together, one
+stacked symmetric eigen-solve per step, the step doubled where it halves at
+a singular root), and certifies candidate maximizers three independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
   L(H_i, y) for i in S equals r * L(H, y), and off-support links cannot beat it;
 * exact closed forms (cliques, Motzkin-Straus for r=2);
 * an exact-rational grid oracle over weightings with entries k/N.
 
-A Weighting is always exact.  The solver's float rows become certificates
-in one place, _rationalize (continued fractions with bounded denominator,
-renormalized to sum 1), and the reported value is the exact evaluation at
-that rational point, so every result is a certified lower bound on lambda(H).
+Every function here that takes a weight vector is exact: its entries are
+Fraction/int, and floats raise ValueError.  Floats live only inside the
+solver (the batched kernel, the replicator and Newton).  Its float rows
+become certificates in one place, _rationalize (continued fractions with
+bounded denominator, renormalized to sum 1), and the reported value is the
+exact evaluation at that rational point, so every result is a certified
+lower bound on lambda(H).
 The solver and the grid oracle build their results the same way: the exact
 weights in descending order unless the found order is strictly better, with
 the exact value and KKT residuals from that order's one pass.  The found
@@ -67,8 +70,13 @@ class SizeError(ValueError):
     """A requested computation exceeds the configured enumeration guards."""
 
 
-def _is_exact(vals: Sequence) -> bool:
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in vals)
+def _exact(y: Iterable) -> tuple:
+    # the entries of y (a Weighting iterates over its values), each a
+    # Fraction or an int: float, numpy-float and bool entries raise ValueError
+    vals = tuple(y)
+    if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in vals):
+        raise ValueError("weight entries must be Fraction or int")
+    return vals
 
 
 def float12(x) -> float:
@@ -82,17 +90,15 @@ class Weighting:
 
     Entries are Fraction/int, stored as Fractions, nonnegative and summing to
     exactly 1; anything else raises ValueError.  The empty weighting is legal
-    as the degenerate weighting of an edgeless hypergraph.  Float vectors go
-    to evaluate, partials, kkt_residual and symmetrize as plain sequences.
+    as the degenerate weighting of an edgeless hypergraph.  Every function
+    that takes a weight vector accepts a Weighting or a plain sequence of
+    Fraction/int entries.
     """
 
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable):
-        vals = tuple(values)
-        if not _is_exact(vals):
-            raise ValueError("weighting entries must be Fraction or int")
-        vals = tuple(Fraction(v) for v in vals)
+        vals = tuple(Fraction(v) for v in _exact(values))
         if vals and sum(vals) != 1:
             raise ValueError(f"weighting sums to {sum(vals)}, not 1")
         if any(v < 0 for v in vals):
@@ -137,7 +143,7 @@ def _rationalize(y) -> list[Fraction]:
 
 
 def _coerce(H: Hypergraph, y) -> tuple:
-    vals = y.values if isinstance(y, Weighting) else tuple(y)
+    vals = _exact(y)
     if H.max_vertex() > len(vals):
         raise ValueError(
             f"weighting of length {len(vals)} cannot cover support up to {H.max_vertex()}"
@@ -147,17 +153,12 @@ def _coerce(H: Hypergraph, y) -> tuple:
 
 def _value_links(H: Hypergraph, vals: Sequence) -> tuple:
     # (S, G, D) with L(H, vals) = S / D**r and L(H_i, vals) = G[i-1] / D**(r-1),
-    # from one walk over the edges.  Exact entries are scaled to integers
+    # from one walk over the edges.  The entries are scaled to integers
     # a_i = vals[i-1] * D over D, the lcm of their denominators, so the walk
-    # adds Python ints and takes no gcd.  Float entries go through unscaled
-    # (D = 1): each product multiplies left to right, as math.prod does
-    if _is_exact(vals):
-        D = math.lcm(*(v.denominator for v in vals))
-        x = [v.numerator * (D // v.denominator) for v in vals]
-        S, G = 0, [0] * len(x)
-    else:
-        D, x = 1, vals
-        S, G = 0.0, [0.0] * len(x)
+    # adds Python ints and takes no gcd
+    D = math.lcm(*(v.denominator for v in vals))
+    x = [v.numerator * (D // v.denominator) for v in vals]
+    S, G = 0, [0] * len(x)
     for e in H.edges:
         p = [x[v - 1] for v in e]
         pre = 1  # product of p[:j]
@@ -168,26 +169,21 @@ def _value_links(H: Hypergraph, vals: Sequence) -> tuple:
     return S, G, D
 
 
-def _scaled(num, den: int):
-    # num / den: exact when num is an int, num itself (den is 1) when a float
-    return Fraction(num, den) if isinstance(num, int) else num
+def evaluate(H: Hypergraph, y) -> Fraction:
+    """L(H, y) = sum over edges of the product of entry weights, exactly.
 
-
-def evaluate(H: Hypergraph, y):
-    """L(H, y) = sum over edges of the product of entry weights.
-
-    Exact when every entry of y is a Fraction/int, float otherwise.  y may be
-    any vector covering the support of H; it need not lie on the simplex
-    (useful for finite-difference checks).
+    y may be any vector of Fraction/int entries covering the support of H;
+    it need not lie on the simplex (L is affine in each weight, so
+    L(y + e_i) - L(y) = L(H_i, y)).
     """
     S, _, D = _value_links(H, _coerce(H, y))
-    return _scaled(S, D**H.r)
+    return Fraction(S, D**H.r)
 
 
-def partials(H: Hypergraph, y) -> list:
+def partials(H: Hypergraph, y) -> list[Fraction]:
     """Vector of link values: entry i (0-based i-1) is L(H_i, y) = dL/dy_i."""
     _, G, D = _value_links(H, _coerce(H, y))
-    return [_scaled(g, D ** (H.r - 1)) for g in G]
+    return [Fraction(g, D ** (H.r - 1)) for g in G]
 
 
 # -- numeric kernel --------------------------------------------------------
@@ -656,20 +652,23 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
 # -- certificates and identities -------------------------------------------
 
 
+def _check_labels(vals: Sequence, *vertices: int) -> None:
+    # vertex labels index y from 1: label 0 or below would wrap to the end
+    if min(vertices) < 1 or max(vertices) > len(vals):
+        raise ValueError(f"vertices {vertices} are not labels 1..{len(vals)} of the weighting")
+
+
 def symmetrize(H: Hypergraph, y, i: int, j: int) -> tuple:
     """Average the weights of two exchangeable vertices: z_i = z_j = (y_i+y_j)/2.
 
     Requires i <-> j to be an automorphism direction, i.e. link_diff empty
-    both ways; then L(H, z) >= L(H, y).  y is a Weighting or a plain
-    sequence; z is a tuple, exact when y is exact and float otherwise.
+    both ways; then L(H, z) >= L(H, y).  z is a tuple of the exact weights.
     """
+    vals = list(_exact(y))
+    _check_labels(vals, i, j)
     if len(link_diff(H, i, j)) or len(link_diff(H, j, i)):
         raise ValueError(f"vertices {i} and {j} are not exchangeable in H")
-    vals = list(y.values if isinstance(y, Weighting) else y)
-    if max(i, j) > len(vals):
-        raise ValueError("weighting does not cover the requested vertices")
-    pair = vals[i - 1] + vals[j - 1]
-    vals[i - 1] = vals[j - 1] = Fraction(pair, 2) if _is_exact(vals) else pair / 2
+    vals[i - 1] = vals[j - 1] = Fraction(vals[i - 1] + vals[j - 1], 2)
     return tuple(vals)
 
 
@@ -699,6 +698,7 @@ def check_pair_identity(H: Hypergraph, y, i: int, j: int):
     if not i < j:
         raise ValueError(f"need i < j, got ({i}, {j})")
     vals = _coerce(H, y)
+    _check_labels(vals, i, j)
     if H.r < 2:
         raise ValueError("pair identity needs uniformity >= 2")
     if H.r == 2:
@@ -723,5 +723,4 @@ def check_scaling_bound(H: Hypergraph, y, i: int, tol: float = 1e-7,
     if len(Hi) == 0:
         return True
     lam = maximize(Hi, cfg or SolverConfig(starts=12)).value
-    lhs = float(evaluate(Hi, [float(v) for v in vals]))
-    return lhs <= (1.0 - float(vals[i - 1])) ** (H.r - 1) * lam + tol
+    return evaluate(Hi, vals) <= (1 - vals[i - 1]) ** (H.r - 1) * lam + tol

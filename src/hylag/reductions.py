@@ -1,15 +1,13 @@
 """Structural improvement moves on hypergraphs and their weightings.
 
-Of the package, only the property suites call them (uncovered calls
-uncovered_pair_reduce, swaps calls find_improving_swap); the verifier does
-not.  Three facts about Lagrangian maximizers justify these:
+The property suites `uncovered` and `swaps` check these moves; the verifier
+does not use them.  Two facts about Lagrangian maximizers justify them:
 
 * if a pair of support vertices lies in no common edge, lambda(H) is attained
-  after deleting one of the two vertices, so H reduces to a pair-covering part;
+  after deleting one of the two vertices (uncovered_pair_reduce);
 * swapping an edge A for a heavier non-edge B (at the current weighting)
-  strictly increases L, certifying H is not extremal among m-edge graphs;
-* lambda is invariant under vertex relabeling, so candidates can be
-  normalized by descending degree.
+  strictly increases L, certifying H is not extremal among m-edge graphs
+  (find_improving_swap).
 """
 
 from __future__ import annotations
@@ -18,14 +16,9 @@ import itertools
 import math
 
 from .hypergraph import Hypergraph, covers_pairs, delete_vertex
-from .lagrangian import Weighting
+from .lagrangian import _coerce
 
-__all__ = [
-    "uncovered_pair_reduce",
-    "reduce_to_pair_covering",
-    "find_improving_swap",
-    "normalize_support",
-]
+__all__ = ["uncovered_pair_reduce", "find_improving_swap"]
 
 
 def uncovered_pair_reduce(H: Hypergraph) -> list[Hypergraph]:
@@ -38,47 +31,21 @@ def uncovered_pair_reduce(H: Hypergraph) -> list[Hypergraph]:
     return [delete_vertex(H, i), delete_vertex(H, j)]
 
 
-def reduce_to_pair_covering(
-    H: Hypergraph, max_leaves: int = 1024
-) -> tuple[list[Hypergraph], bool]:
-    """Recurse uncovered_pair_reduce to fixpoint, deduplicating parts.
-
-    Returns (parts, complete).  Branching doubles per uncovered pair, so the
-    frontier is capped at max_leaves; when the cap is hit the remaining
-    unreduced graphs are returned as-is and complete=False.
-    """
-    done: dict[Hypergraph, None] = {}
-    frontier = [H]
-    while frontier:
-        if len(frontier) + len(done) > max_leaves:
-            for g in frontier:
-                done.setdefault(g)
-            return list(done), False
-        nxt = []
-        for g in frontier:
-            parts = uncovered_pair_reduce(g)
-            if parts == [g]:
-                done.setdefault(g)
-            else:
-                nxt.extend(p for p in parts if p not in done)
-        frontier = nxt
-    return list(done), True
-
-
 def find_improving_swap(H: Hypergraph, y, margin: float = 1e-12):
     """Find (A in H, B not in H) with L(B, y) > L(A, y) + margin, if any.
 
-    Candidates B are r-subsets of support(H) plus the smallest vertex label
-    not already in the support; y may assign that vertex positive weight (it
-    just has no edges yet), in which case swapping it in is a genuine
-    improvement move.  Returns the extreme pair (lightest A, heaviest B) or
-    None.  This is a sound but incomplete non-maximality test: a hit
-    certifies (H \\ A) + B beats H at y, but single swaps need not exhaust
-    all possible multi-edge exchanges.
+    y holds Fraction/int entries and covers support(H).  Candidates B are
+    r-subsets of support(H) plus the smallest vertex label not already in
+    the support; y may assign that vertex positive weight (it just has no
+    edges yet), in which case swapping it in is a genuine improvement move.
+    Returns the extreme pair (lightest A, heaviest B) or None.  This is a
+    sound but incomplete non-maximality test: a hit certifies (H \\ A) + B
+    beats H at y, but single swaps need not exhaust all possible multi-edge
+    exchanges.
     """
+    vals = list(_coerce(H, y))
     if len(H) == 0:
         return None
-    vals = list(y.values if isinstance(y, Weighting) else y)
     supp = set(H.support)
     fresh = next(v for v in itertools.count(1) if v not in supp)
     vals += [0] * (fresh - len(vals))
@@ -97,12 +64,3 @@ def find_improving_swap(H: Hypergraph, y, margin: float = 1e-12):
     if b_best is not None and b_val > a_val + margin:
         return a_best, b_best
     return None
-
-
-def normalize_support(H: Hypergraph) -> tuple[Hypergraph, dict[int, int]]:
-    """Relabel support vertices to 1..T by descending degree (ties: original
-    label ascending).  Returns (relabeled H, old->new map).  lambda is
-    invariant under this relabeling."""
-    order = sorted(H.support, key=lambda v: (-H.degree(v), v))
-    mapping = {v: i + 1 for i, v in enumerate(order)}
-    return Hypergraph(H.r, ([mapping[v] for v in e] for e in H.edges)), mapping

@@ -65,11 +65,6 @@ def _random_hypergraph(rng: np.random.Generator, r: int, n: int, m: int) -> Hype
     return Hypergraph(r, (pool[i] for i in sorted(idx)))
 
 
-def _random_simplex(rng: np.random.Generator, n: int) -> list[float]:
-    v = rng.exponential(1.0, n)
-    return list(v / v.sum())
-
-
 def _random_exact_simplex(rng: np.random.Generator, n: int) -> list[Fraction]:
     w = [int(x) for x in rng.integers(0, 20, n)]
     if sum(w) == 0:
@@ -79,17 +74,16 @@ def _random_exact_simplex(rng: np.random.Generator, n: int) -> list[Fraction]:
 
 
 def suite_maclaurin(seed: int, trials: int = 500) -> SuiteResult:
-    """Elementary symmetric sums: e_r(y) <= C(n,r) (Y/n)^r for y >= 0, Y = sum y."""
+    """Elementary symmetric sums on the simplex: e_r(y) <= C(n,r)/n^r, exactly."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("maclaurin", trials, 0)
     for _ in range(trials):
         n = int(rng.integers(2, 11))
         r = int(rng.integers(1, min(n, 5) + 1))
-        y = list(rng.uniform(0.0, 1.0, n))
+        y = _random_exact_simplex(rng, n)
         lhs = evaluate(clique(n, r), y)
-        Y = sum(y)
-        rhs = binom(n, r) * (Y / n) ** r
-        if lhs > rhs * (1 + 1e-12) + 1e-15:
+        rhs = Fraction(binom(n, r), n**r)
+        if lhs > rhs:
             out._fail(f"e_{r} = {lhs} > bound {rhs} at n={n}, y={y}")
     return out
 
@@ -120,7 +114,7 @@ def suite_scaling(seed: int, trials: int = 500) -> SuiteResult:
         n = int(rng.integers(r + 1, 8))
         m = int(rng.integers(1, min(8, binom(n, r)) + 1))
         H = _random_hypergraph(rng, r, n, m)
-        y = _random_simplex(rng, H.max_vertex())
+        y = _random_exact_simplex(rng, H.max_vertex())
         i = int(H.support[rng.integers(0, len(H.support))])
         if not check_scaling_bound(H, y, i):
             out._fail(f"scaling bound fails at vertex {i} of {H!r}, y={y}")
@@ -252,24 +246,24 @@ def suite_symmetrize(seed: int, trials: int = 500) -> SuiteResult:
 
 
 def suite_gradient(seed: int, trials: int = 500) -> SuiteResult:
-    """partials() matches forward finite differences within 1e-5 (eps 1e-6)."""
+    """partials() is the unit difference: L is affine in each weight, so
+    L(y + e_i) - L(y) = L(H_i, y), exactly."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("gradient", trials, 0)
-    eps = 1e-6
     for _ in range(trials):
         r = int(rng.integers(1, 5))
         n = int(rng.integers(max(2, r), 8))
         m = int(rng.integers(1, min(10, binom(n, r)) + 1))
         H = _random_hypergraph(rng, r, n, m)
-        y = list(rng.uniform(0.05, 1.0, n))
+        y = _random_exact_simplex(rng, n)
         g = partials(H, y)
         base = evaluate(H, y)
-        for i in rng.choice(np.arange(n), size=min(3, n), replace=False):
+        for i in rng.choice(np.arange(n), size=min(3, n), replace=False).tolist():
             bumped = list(y)
-            bumped[int(i)] += eps
-            fd = (evaluate(H, bumped) - base) / eps
-            if abs(fd - g[int(i)]) > 1e-5:
-                out._fail(f"d/dy_{int(i)+1} = {g[int(i)]} vs FD {fd} on {H!r}")
+            bumped[i] += 1
+            diff = evaluate(H, bumped) - base
+            if diff != g[i]:
+                out._fail(f"d/dy_{i + 1} = {g[i]} vs unit difference {diff} on {H!r}")
     return out
 
 

@@ -22,6 +22,7 @@ from hylag import (
     colex_segment,
     enumerate_left_compressed,
     evaluate,
+    find_improving_swap,
     grid_oracle,
     kkt_residual,
     left_compress,
@@ -97,8 +98,9 @@ def test_weighting_json_is_strings():
 
 def test_evaluate_single_edge():
     H = Hypergraph(2, [(1, 2)])
-    assert evaluate(H, [0.5, 0.5]) == 0.25
     assert evaluate(H, [Fraction(1, 2), Fraction(1, 2)]) == Fraction(1, 4)
+    assert evaluate(H, Weighting([Fraction(1, 3), Fraction(2, 3)])) == Fraction(2, 9)
+    assert type(evaluate(H, [1, 0])) is Fraction
 
 
 def test_evaluate_triple_clique_uniform():
@@ -110,17 +112,20 @@ def test_evaluate_star_at_maximizer():
 
 
 def test_evaluate_off_simplex_allowed():
-    # evaluate treats y as a free vector (used by finite differences)
-    assert evaluate(Hypergraph(2, [(1, 2)]), [2.0, 3.0]) == 6.0
+    # evaluate treats y as a free vector (used by the unit-difference identity)
+    assert evaluate(Hypergraph(2, [(1, 2)]), [2, 3]) == 6
+    assert evaluate(Hypergraph(2, [(1, 2)]), [Fraction(5, 2), -1]) == Fraction(-5, 2)
 
 
 def test_evaluate_short_vector_rejected():
-    with pytest.raises(ValueError):
-        evaluate(clique(4, 3), [0.5, 0.5])
+    with pytest.raises(ValueError, match="cannot cover"):
+        evaluate(clique(4, 3), [Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(ValueError, match="cannot cover"):
+        find_improving_swap(clique(4, 3), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def test_partials_examples():
-    assert partials(Hypergraph(2, [(1, 2)]), [0.5, 0.5]) == [0.5, 0.5]
+    assert partials(Hypergraph(2, [(1, 2)]), [Fraction(1, 2)] * 2) == [Fraction(1, 2)] * 2
     p = partials(STAR, STAR_MAX)
     assert p[0] == Fraction(4, 27)  # equals r * lambda = 3 * 4/81
     assert partials(clique(4, 3), [Fraction(1, 4)] * 4) == [Fraction(3, 16)] * 4
@@ -150,21 +155,19 @@ def test_euler_identity_exact():
 
 
 def test_partials_match_finite_differences():
+    # L is affine in each weight, so the forward difference with step 1 is
+    # exact: L(y + e_i) - L(y) = L(H_i, y)
     rng = random.Random(4)
-    eps = 1e-6
     for _ in range(25):
         pool = list(itertools.combinations(range(1, 7), 3))
         H = Hypergraph(3, rng.sample(pool, rng.randint(1, 15)))
-        y = [rng.random() for _ in range(6)]
-        s = sum(y)
-        y = [v / s for v in y]
+        y = rational_simplex(rng, 6)
         p = partials(H, y)
         base = evaluate(H, y)
         for i in rng.sample(range(6), 3):
             bumped = list(y)
-            bumped[i] += eps
-            fd = (evaluate(H, bumped) - base) / eps
-            assert abs(p[i] - fd) <= 1e-5
+            bumped[i] += 1
+            assert evaluate(H, bumped) - base == p[i]
 
 
 def _fraction_reference(H, y):
@@ -176,20 +179,6 @@ def _fraction_reference(H, y):
     d = [gi - H.r * L for gi in g]
     on = max((abs(di) for di, v in zip(d, y) if v > 0), default=Fraction(0))
     off = max((di for di, v in zip(d, y) if v == 0), default=Fraction(0))
-    return L, g, KKTResidual(float(on), float(off))
-
-
-def _float_reference(H, y):
-    # the float math.prod loops that the one-pass evaluation replaced
-    L = 0.0
-    g = [0.0] * len(y)
-    for e in H.edges:
-        L += math.prod(y[v - 1] for v in e)
-        for v in e:
-            g[v - 1] += math.prod(y[u - 1] for u in e if u != v)
-    d = [gi - H.r * L for gi in g]
-    on = max((abs(di) for di, v in zip(d, y) if v > 0), default=0)
-    off = max((di for di, v in zip(d, y) if v == 0), default=0)
     return L, g, KKTResidual(float(on), float(off))
 
 
@@ -223,24 +212,6 @@ def test_exact_pass_matches_fraction_reference():
             assert all(type(v) is Fraction for v in partials(H, y))
             assert kkt_residual(H, y) == kkt
     assert big >= 100  # renormalized, the Dirichlet weights pass MAX_DENOMINATOR
-
-
-def test_float_pass_is_bit_identical():
-    rng = random.Random(14)
-    for _ in range(150):
-        r = rng.randint(2, 5)
-        n = rng.randint(r, 8)
-        H = _random_graph(rng, r, n)
-        dirichlet = [rng.expovariate(1.0) for _ in range(n)]
-        free = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-        zeros = [v if rng.random() < 0.5 else 0.0 for v in dirichlet]
-        for y in (dirichlet, free, zeros, list(np.array(free))):
-            L, g, kkt = _float_reference(H, y)
-            assert evaluate(H, y).hex() == L.hex()
-            assert [v.hex() for v in partials(H, y)] == [v.hex() for v in g]
-            got = kkt_residual(H, y)
-            assert (got.on_support.hex(), got.off_support.hex()) == (
-                kkt.on_support.hex(), kkt.off_support.hex())
 
 
 # -- numeric kernel ----------------------------------------------------------------
@@ -907,12 +878,13 @@ def test_grid_oracle_guards():
 
 
 def test_symmetrize_single_edge():
-    z = symmetrize(clique(3, 3), [0.5, 0.3, 0.2], 2, 3)
-    assert z == (0.5, 0.25, 0.25)
-    before = evaluate(clique(3, 3), [0.5, 0.3, 0.2])
+    y = [Fraction(1, 2), Fraction(3, 10), Fraction(1, 5)]
+    z = symmetrize(clique(3, 3), y, 2, 3)
+    assert z == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    before = evaluate(clique(3, 3), y)
     after = evaluate(clique(3, 3), z)
-    assert abs(before - 0.030) < 1e-12
-    assert after == 0.03125
+    assert before == Fraction(3, 100)
+    assert after == Fraction(1, 32)
     assert after >= before
 
 
@@ -926,16 +898,58 @@ def test_symmetrize_fixpoint():
     assert symmetrize(clique(3, 3), [1, 0, 0], 1, 2) == (Fraction(1, 2), Fraction(1, 2), 0)
 
 
+STAR_Y = [Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)]
+
+
 def test_symmetrize_star_pair():
-    z = symmetrize(STAR, [0.4, 0.3, 0.2, 0.1], 3, 4)
-    assert z == (0.4, 0.3, 0.15000000000000002, 0.15000000000000002) or \
-        z == (0.4, 0.3, 0.15, 0.15)
-    assert evaluate(STAR, z) >= evaluate(STAR, [0.4, 0.3, 0.2, 0.1])
+    z = symmetrize(STAR, STAR_Y, 3, 4)
+    assert z == (Fraction(2, 5), Fraction(3, 10), Fraction(3, 20), Fraction(3, 20))
+    assert evaluate(STAR, z) >= evaluate(STAR, STAR_Y)
 
 
 def test_symmetrize_requires_exchangeable():
-    with pytest.raises(ValueError):
-        symmetrize(STAR, [0.4, 0.3, 0.2, 0.1], 1, 2)
+    with pytest.raises(ValueError, match="not exchangeable"):
+        symmetrize(STAR, STAR_Y, 1, 2)
+
+
+def test_vertex_labels_below_one_rejected():
+    # y[label - 1] at label 0 is y[-1], the last vertex: vertices 0 and 2 are
+    # both isolated, so both link diffs are empty, and averaging y_2 with y_4
+    # would lower L from 1/27 to 1/54
+    third = [THIRD, 0, THIRD, THIRD]
+    with pytest.raises(ValueError, match="not labels"):
+        symmetrize(Hypergraph(3, [(1, 3, 4)]), third, 0, 2)
+    half = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    with pytest.raises(ValueError, match="not labels"):
+        check_pair_identity(Hypergraph(3, [(1, 2, 3)]), half, 0, 2)
+    with pytest.raises(ValueError, match="not labels"):
+        symmetrize(clique(3, 3), half, 1, 4)
+
+
+_FLOATY = {
+    "float": [0.25] * 4,
+    "numpy-float": list(np.array([0.25] * 4)),
+    "mixed": [Fraction(1, 4), 0.25, Fraction(1, 4), Fraction(1, 4)],
+    "bool": [True, False, False, False],
+}
+_TAKES_WEIGHTS = {
+    "evaluate": evaluate,
+    "partials": partials,
+    "kkt_residual": kkt_residual,
+    "symmetrize": lambda H, y: symmetrize(H, y, 1, 2),
+    "check_pair_identity": lambda H, y: check_pair_identity(H, y, 1, 2),
+    "check_scaling_bound": lambda H, y: check_scaling_bound(H, y, 1),
+    "find_improving_swap": find_improving_swap,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FLOATY))
+@pytest.mark.parametrize("fn", sorted(_TAKES_WEIGHTS))
+def test_weight_vectors_must_be_exact(fn, kind):
+    with pytest.raises(ValueError, match="Fraction or int"):
+        _TAKES_WEIGHTS[fn](clique(4, 3), _FLOATY[kind])
+    # the same call on exact weights goes through
+    _TAKES_WEIGHTS[fn](clique(4, 3), [Fraction(1, 4)] * 4)
 
 
 def test_kkt_residual_examples():
@@ -965,7 +979,7 @@ def test_pair_identity_r2_uses_indicator():
 
 
 def test_scaling_bound_equality_case():
-    assert check_scaling_bound(clique(4, 3), [0.25] * 4, 1)
+    assert check_scaling_bound(clique(4, 3), [Fraction(1, 4)] * 4, 1)
 
 
 def test_scaling_bound_degenerate_weight_one():

@@ -1,22 +1,18 @@
-"""Improvement moves: uncovered-pair deletion, edge swaps, relabeling."""
+"""Improvement moves: uncovered-pair deletion and edge swaps."""
 
 import itertools
 import random
 from fractions import Fraction
 
-import pytest
-
 from hylag import (
     Hypergraph,
     SolverConfig,
+    Weighting,
     clique,
     colex_segment,
-    covers_pairs,
     evaluate,
     find_improving_swap,
     maximize,
-    normalize_support,
-    reduce_to_pair_covering,
     uncovered_pair_reduce,
 )
 
@@ -46,34 +42,10 @@ def test_reduction_respects_lagrangian_bound():
         assert lam <= best + 1e-9
 
 
-def test_reduce_to_pair_covering_terminates():
-    H = Hypergraph(3, [(1, 2, 3), (1, 4, 5), (2, 6, 7)])
-    parts, complete = reduce_to_pair_covering(H)
-    assert complete
-    assert parts
-    for p in parts:
-        assert covers_pairs(p)[0]
-
-
-def test_reduce_to_pair_covering_consistent_with_colex_plateau():
-    # H^{2,3} reduces to single-edge graphs; all have lambda 1/27
-    parts, complete = reduce_to_pair_covering(colex_segment(2, 3))
-    assert complete
-    vals = {maximize(p, SolverConfig(starts=6, seed=0)).value_exact for p in parts}
-    assert vals == {Fraction(1, 27)}
-
-
-def test_reduce_to_pair_covering_leaf_cap():
-    # a star of disjoint pairs blows up the branching; tiny cap must bail out
-    edges = [(1, 2 * k, 2 * k + 1) for k in range(1, 7)]
-    parts, complete = reduce_to_pair_covering(Hypergraph(3, edges), max_leaves=3)
-    assert not complete
-    assert len(parts) <= 3 + 2  # frontier at bail-out plus finished parts
-
-
 def test_swap_example():
     G = Hypergraph(3, [(1, 2, 3), (1, 2, 5)])
-    swap = find_improving_swap(G, [0.3, 0.3, 0.2, 0.15, 0.05])
+    y = Weighting([Fraction(k, 20) for k in (6, 6, 4, 3, 1)])
+    swap = find_improving_swap(G, y)
     assert swap == ((1, 2, 5), (1, 2, 4))
 
 
@@ -127,34 +99,3 @@ def test_swap_improves_value():
 
 def test_swap_empty_graph():
     assert find_improving_swap(Hypergraph(3, []), []) is None
-
-
-def test_normalize_support_shift():
-    H, mapping = normalize_support(Hypergraph(3, [(5, 6, 7)]))
-    assert H == Hypergraph(3, [(1, 2, 3)])
-    assert mapping == {5: 1, 6: 2, 7: 3}
-
-
-def test_normalize_support_by_degree():
-    # degrees: 3 and 4 appear twice, 1 and 2 once -> 3,4 get the small labels
-    H, mapping = normalize_support(Hypergraph(3, [(1, 3, 4), (2, 3, 4)]))
-    assert mapping == {3: 1, 4: 2, 1: 3, 2: 4}
-    assert H == Hypergraph(3, [(1, 2, 3), (1, 2, 4)])
-
-
-def test_normalize_support_identity():
-    H = colex_segment(4, 3)
-    N, mapping = normalize_support(H)
-    assert N == H
-    assert all(mapping[v] == v for v in H.support)
-
-
-def test_normalize_preserves_lagrangian():
-    rng = random.Random(29)
-    for seed in range(6):
-        pool = list(itertools.combinations(range(2, 9), 3))
-        H = Hypergraph(3, rng.sample(pool, rng.randint(2, 8)))
-        N, _ = normalize_support(H)
-        a = maximize(H, SolverConfig(starts=10, seed=seed)).value
-        b = maximize(N, SolverConfig(starts=10, seed=seed)).value
-        assert abs(a - b) <= 1e-10

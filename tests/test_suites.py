@@ -41,9 +41,10 @@ def test_unknown_suite():
 
 
 def test_suites_repeat_exactly():
-    a = run_suite("maclaurin", seed=7, trials=50)
-    b = run_suite("maclaurin", seed=7, trials=50)
-    assert (a.trials, a.failures, a.notes) == (b.trials, b.failures, b.notes)
+    for name in ("maclaurin", "gradient", "scaling"):
+        a = run_suite(name, seed=7, trials=50)
+        b = run_suite(name, seed=7, trials=50)
+        assert (a.trials, a.failures, a.notes) == (b.trials, b.failures, b.notes), name
 
 
 def test_exhaustive_suite_reports_sweep_size():
