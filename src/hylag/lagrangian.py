@@ -15,6 +15,11 @@ a singular root), and certifies candidate maximizers three independent ways:
 * exact closed forms (cliques, Motzkin-Straus for r=2);
 * an exact-rational grid oracle over weightings with entries k/N.
 
+The solver runs on H's twin-free core: each vertex whose link equals a
+lower-labelled vertex's link leaves, with its edges.  That keeps lambda and
+the minimal support size, and turns the flat faces twins make into points;
+the winner, with zeros at the dropped vertices, is certified on H itself.
+
 Every function here that takes a weight vector is exact: its entries are
 Fraction/int, and floats raise ValueError.  Floats live only inside the
 solver (the batched kernel, the replicator and Newton).  Its float rows
@@ -447,8 +452,39 @@ def _certified(H: Hypergraph, fr: Sequence[Fraction], method: str, starts: int,
     )
 
 
+def _twin_free_core(H: Hypergraph) -> Hypergraph:
+    # H without each support vertex whose link (its set of (r-1)-sets) equals
+    # a lower-labelled vertex's, and without the edges of those vertices
+    links: dict[int, set] = {}
+    for e in H.edges:
+        for j, v in enumerate(e):
+            links.setdefault(v, set()).add(e[:j] + e[j + 1:])
+    first: dict[frozenset, int] = {}
+    twins = {v for v in sorted(links) if first.setdefault(frozenset(links[v]), v) != v}
+    return Hypergraph(H.r, (e for e in H.edges if twins.isdisjoint(e))) if twins else H
+
+
 def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
     """Best local maximum of L(H, .) over the simplex across cfg.starts runs.
+
+    The runs solve H's twin-free core.  Call u < v twins when their links
+    (sets of (r-1)-sets) are equal.  Then no edge holds both: e in H with
+    u, v in e would put e - v, which contains u, in the link of v, which is
+    the link of u, whose sets all avoid u.  So
+    adjacent exchangeable vertices, such as those of a clique, are never
+    twins.  Equal links make twinship an equivalence, and replacing a
+    vertex of an edge by its twin gives an edge; so H is the blow-up of its
+    core C, the graph on the lowest label of each class with the edges of H
+    among those labels, and L(H, y) = L(C, z) where z_u is the total weight
+    of u's class.  Hence lambda(H) = lambda(C); a maximizer of C, padded
+    with zeros at the other labels, maximizes H; and merging a class never
+    grows a support, so minimal supports have the same size.  Of maximizers
+    that differ only in which member of a class carries the weight, the
+    lowest label is the one the rank below ends on (smallest support
+    tuple).  On a class of twins L is flat along each exchange, which would
+    leave every run at its own point of a flat face, each with its own
+    Newton solve and shedding; on the core those faces are points.  A graph
+    without twins is its own core.
 
     Starts: uniform on the support, then seeded Dirichlet(1) samples.  A
     batched replicator burn-in of at most BURN_IN steps brings each run near a
@@ -465,15 +501,17 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     row is rationalized as the winner is, then the lexicographically smallest
     tuple of support vertices.  So of several maximizers with the same weights
     on different vertices, the one reported does not depend on last-bit
-    rounding.  The winner is rationalized, sorted descending unless its own
-    order is strictly better, and re-evaluated exactly; `value` is the float
-    of that exact certificate.
+    rounding.  The winner is rationalized, put back on H's support with
+    zeros at the dropped twins, sorted descending unless its own order is
+    strictly better, and re-evaluated exactly on H, KKT residuals over every
+    vertex included (a dropped twin's link is its kept twin's); `value` is
+    the float of that exact certificate.
     Deterministic given cfg.seed.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
         return _certified(H, (), "degenerate", 0, cfg.seed)
-    E, supp = _compile_edges(H)
+    E, supp = _compile_edges(_twin_free_core(H))
     k = len(supp)
     r = H.r
 
@@ -515,7 +553,8 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
 
     # rationalizing is monotone, so _certified's sort of the fractions is
     # the rationalized sort of the floats
-    fr = _rationalize(Y[min(_distinct(Y, tie_rows), key=rank)])
+    win = dict(zip(supp, _rationalize(Y[min(_distinct(Y, tie_rows), key=rank)])))
+    fr = [win.get(v, Fraction(0)) for v in H.support]
     return _certified(H, fr, "multistart", cfg.starts, cfg.seed)
 
 

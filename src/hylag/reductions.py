@@ -31,8 +31,8 @@ def uncovered_pair_reduce(H: Hypergraph) -> list[Hypergraph]:
     return [delete_vertex(H, i), delete_vertex(H, j)]
 
 
-def find_improving_swap(H: Hypergraph, y, margin: float = 1e-12):
-    """Find (A in H, B not in H) with L(B, y) > L(A, y) + margin, if any.
+def find_improving_swap(H: Hypergraph, y):
+    """Find (A in H, B not in H) with L(B, y) > L(A, y), if any, compared exactly.
 
     y holds Fraction/int entries and covers support(H).  Candidates B are
     r-subsets of support(H) plus the smallest vertex label not already in
@@ -61,6 +61,6 @@ def find_improving_swap(H: Hypergraph, y, margin: float = 1e-12):
         w = math.prod(vals[v - 1] for v in b)
         if b_val is None or w > b_val:
             b_best, b_val = b, w
-    if b_best is not None and b_val > a_val + margin:
+    if b_best is not None and b_val > a_val:
         return a_best, b_best
     return None

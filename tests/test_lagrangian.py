@@ -483,10 +483,13 @@ def test_maximize_flat_face_minimal_support():
     (2, "13 14 16 26", (1, 3)),
     (2, "23 14 34 15 35", (1, 4)),
     (2, "25 45 16", (1, 6)),
+    (3, "123 345", (1, 2, 3)),
 ])
 def test_maximize_tie_rule_picks_one_support(r, edges, support):
     # not left-compressed: equal-valued maximizers carry the same weights on
-    # different vertices, and the smallest support wins whatever the seed
+    # different vertices, and the smallest support wins whatever the seed.
+    # In 124 134 (twins 2, 3) and 25 45 16 (twins 2, 4) the core already
+    # drops the higher twin; 123 345 has no twins, so the rank decides
     H = Hypergraph(r, [tuple(map(int, e)) for e in edges.split()])
     for seed in range(12):
         assert maximize(H, SolverConfig(seed=seed)).weighting.support == support, seed
@@ -676,14 +679,64 @@ def test_maximize_pinned_outputs():
 
 def test_maximize_block_size(monkeypatch):
     # the Newton finish walks its rows in blocks; the block size cannot
-    # change a result
-    graphs = [FAR, FLAT, STAR, colex_segment(30, 3)]
-    cfg = SolverConfig(starts=50, seed=1)
-    want = [maximize(H, cfg) for H in graphs]
+    # change a result.  The graph 13 14 16 26 has a flat face that no
+    # twins make (y_1 = 1/2, y_3 + y_6 = 1/2; 6 also meets 2), so its runs
+    # reach Newton as more rows than the default block of 64 holds
+    graphs = [FAR, FLAT, STAR, colex_segment(30, 3), _graph(2, "13 14 16 26")]
+    cfg = SolverConfig(starts=100, seed=1)
     faces = lagrangian._newton_faces
+    sizes = []
+    monkeypatch.setattr(lagrangian, "_newton_faces",
+                        lambda E, n, r, Y, **kw: sizes.append(len(Y)) or faces(E, n, r, Y, **kw))
+    want = [maximize(H, cfg) for H in graphs]
+    assert max(sizes) > 64
     for chunk in (1, 7):
         monkeypatch.setattr(lagrangian, "_newton_faces", functools.partial(faces, chunk=chunk))
         assert [maximize(H, cfg) for H in graphs] == want, chunk
+
+
+def _add_twin(H, v):
+    # H plus a copy of v's edges on the fresh label max + 1: a twin of v
+    w = H.max_vertex() + 1
+    return Hypergraph(H.r, [*H.edges, *(tuple(w if u == v else u for u in e) for e in H.edges if v in e)])
+
+
+def test_maximize_ignores_added_twin():
+    # a twin above every label leaves the core alone, so the same seed gives
+    # the same value and weights, with a zero for the twin
+    rng = random.Random(16)
+    for _ in range(40):
+        r = rng.randint(2, 4)
+        pool = list(itertools.combinations(range(1, 7), r))
+        H = Hypergraph(r, rng.sample(pool, rng.randint(1, min(len(pool), 8))))
+        H2 = _add_twin(H, rng.choice(H.support))
+        cfg = SolverConfig(starts=20, seed=rng.randrange(100))
+        a, b = maximize(H, cfg), maximize(H2, cfg)
+        assert b.value_exact == a.value_exact, H2
+        assert b.weighting.values == a.weighting.values + (0,), H2
+
+
+def test_maximize_solves_twin_free_core(monkeypatch):
+    # H^{30,3} (twins 6 and 7) and K4^{(3)} + {125, 135, 235} (twins 4 and
+    # 5): on the core the maximizer is a point, not a segment every run
+    # lands on at its own place (102 Newton rows each without the core)
+    rows = []
+    faces = lagrangian._newton_faces
+    monkeypatch.setattr(lagrangian, "_newton_faces",
+                        lambda E, n, r, Y, **kw: rows.append(len(Y)) or faces(E, n, r, Y, **kw))
+    for H in (colex_segment(30, 3), _graph(3, "123 124 134 234 125 135 235")):
+        rows.clear()
+        maximize(H, SolverConfig(starts=50, seed=1))
+        assert sum(rows) <= 5, H
+
+
+def test_twin_free_core_keeps_adjacent_exchangeable_vertices():
+    # clique vertices are exchangeable but share edges, so none is a twin
+    K = clique(5, 3)
+    assert lagrangian._twin_free_core(K) == K
+    assert maximize(K).weighting.values == (Fraction(1, 5),) * 5
+    # 4 and 5 of FLAT are twins, 6 is not: its link {12} is not theirs
+    assert lagrangian._twin_free_core(FLAT) == _graph(3, "123 124 134 126")
 
 
 def test_distinct_matches_greedy_loop():

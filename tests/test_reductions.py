@@ -49,6 +49,15 @@ def test_swap_example():
     assert swap == ((1, 2, 5), (1, 2, 4))
 
 
+def test_swap_gain_below_float_spacing():
+    # swapping 12 for 13 raises L by exactly 1e-13: the comparison is exact,
+    # so a gain too small for a float margin still counts
+    G = Hypergraph(2, [(1, 2)])
+    eps = Fraction(1, 10**13)
+    y = [Fraction(1, 2), Fraction(1, 4) - eps, Fraction(1, 4) + eps]
+    assert find_improving_swap(G, y) == ((1, 2), (1, 3))
+
+
 def test_swap_example_monomials():
     # the swap pair from the worked example has these weights
     y = [0.3, 0.3, 0.2, 0.15, 0.05]

@@ -464,6 +464,15 @@ def test_reports_pinned_bytes():
     )
 
 
+def test_reports_pinned_bytes_r4():
+    # the same for the r=4, t=6 window at seed 7: the r=4 solves, with their
+    # irrational maximizers and crawl graphs, must not move either
+    text = reports_json_text(verify_range(4, 6, VerifyConfig(seed=7)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "3bc329aa442e783b3914b8081f4064a442e0b11109101cebb33c70d24b091571"
+    )
+
+
 def test_json_is_canonical():
     rep = verify_conjecture(1, 3, FAST)
     text = reports_json_text([rep])
