@@ -28,6 +28,6 @@ for name, H in [
 print()
 print("The oracle is exact; it walks only the non-increasing grid points when")
 print("H is left-compressed (733 of 593,775 for 7 vertices at N=24) and the")
-print("full grid otherwise.  The solver is fast but numeric.  The verifier uses")
-print("the oracle only to re-check candidates whose solver value lands near")
-print("the colex baseline.")
+print("full grid otherwise.  The solver is fast but numeric; its winner is")
+print("certified by an exact evaluation at rational weights, which is what the")
+print("verifier compares.")

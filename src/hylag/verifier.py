@@ -4,10 +4,9 @@ Lagrangian among m-edge r-graphs.
 The conjecture under test: lambda(H^{m,r}) = max{lambda(H) : e(H) = m}.
 Compression arguments reduce the search to left-compressed candidates
 (downsets in the domination order) with bounded support, which this module
-enumerates exactly once each.  Every candidate gets a multistart solve; any
-value within NEAR_TIE_TOL of the colex baseline (or above it) is re-checked
-against an exact grid oracle, and the counterexample flag is decided by exact
-rational comparison of the two sides' rational certificates.
+enumerates exactly once each.  Every candidate gets a multistart solve, and
+the counterexample flag is decided by exact rational comparison of the two
+sides' rational certificates.
 
 The support cap Tmax is a heuristic (minimal clique order plus a slack); a
 report whose best witness uses all Tmax vertices is marked saturated as a
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .hypergraph import Hypergraph, _lower_covers, binom, colex_key, colex_segment, covers_pairs
+from .hypergraph import Hypergraph, _lower_covers, binom, colex_key, colex_segment
 from .lagrangian import (
     LagrangianResult,
     SizeError,
@@ -38,7 +37,6 @@ from .lagrangian import (
     Weighting,
     clique_lagrangian,
     float12,
-    grid_oracle,
     maximize,
 )
 
@@ -59,23 +57,25 @@ __all__ = [
 ]
 
 CSV_HEADER = "m,t,regime,colex_value,best_value,gap,candidates,counterexample"
-ORACLE_DENOMINATOR = 18  # near-tie cross-check: grid oracle over weights k/18
-NEAR_TIE_TOL = 1e-3  # solver values within this of the baseline are cross-checked
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Knobs for the verification pipeline.  Defaults match the reported
-    desk-scale runs; seed and jobs never change the output, only the cost."""
+    """Knobs for the verification pipeline: starts (multistart solves per
+    candidate), seed, support_slack (vertices allowed past the minimal clique
+    order), max_candidates (enumeration limit per m) and jobs (worker
+    processes).  Defaults match the reported desk-scale runs; seed and jobs
+    never change the output, only the cost."""
 
     starts: int = 50
     seed: int = 0
     support_slack: int = 2
-    require_pair_covering: bool = False
     max_candidates: int = 200_000
     jobs: int = 1
 
     def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError("starts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.support_slack < 0:
@@ -101,10 +101,10 @@ class MonitorDiagnostics:
     premise_holds: bool
     support_size: int
     delta: int
-    x1: float
-    xT: float
+    x1: Fraction
+    xT: Fraction
     q: int | None
-    tail_sum: float
+    tail_sum: Fraction
     bound_flags: dict[str, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -150,7 +150,7 @@ class VerificationReport:
 
     @property
     def gap(self) -> float:
-        return self.colex_value_float - self.best_candidate_float
+        return float(self.colex_value - self.best_candidate_value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,9 +158,9 @@ class VerificationReport:
             "r": self.r,
             "t": self.t,
             "regime": self.regime,
-            "colex_value": _num(self.colex_value, self.colex_value_float),
-            "best_candidate_value": _num(self.best_candidate_value, self.best_candidate_float),
-            "gap": _num(self.colex_value - self.best_candidate_value, self.gap),
+            "colex_value": _num(self.colex_value),
+            "best_candidate_value": _num(self.best_candidate_value),
+            "gap": _num(self.colex_value - self.best_candidate_value),
             "witness": {
                 "hypergraph": self.witness.to_json_dict(),
                 "weighting": self.witness_weighting.to_json_dict(),
@@ -175,8 +175,8 @@ class VerificationReport:
         }
 
 
-def _num(exact: Fraction, flt: float) -> dict:
-    return {"exact": str(exact), "float": float12(flt)}
+def _num(exact: Fraction) -> dict:
+    return {"exact": str(exact), "float": float12(exact)}
 
 
 # -- regimes and baselines ---------------------------------------------------
@@ -222,9 +222,7 @@ def _colex_elements(r: int, Tmax: int):
     return elems, covers
 
 
-def enumerate_left_compressed(
-    m: int, r: int, Tmax: int, require_pair_covering: bool = False
-) -> Iterator[Hypergraph]:
+def enumerate_left_compressed(m: int, r: int, Tmax: int) -> Iterator[Hypergraph]:
     """All m-edge downsets of the domination order on [Tmax]^{(r)}, i.e. all
     fully left-compressed m-edge r-graphs with support in [Tmax].
 
@@ -246,9 +244,7 @@ def enumerate_left_compressed(
 
     def rec(start: int, need: int) -> Iterator[Hypergraph]:
         if need == 0:
-            H = Hypergraph(r, (elems[i] for i in chosen))
-            if not require_pair_covering or covers_pairs(H)[0]:
-                yield H
+            yield Hypergraph(r, (elems[i] for i in chosen))
             return
         for nxt in range(start, total - need + 1):
             if all(in_set[c] for c in covers[nxt]):
@@ -293,7 +289,7 @@ def _verify_with_cap(
     if r < 2:
         raise ValueError("verification needs uniformity r >= 2 (r = 1 is degenerate)")
     candidates: list[Hypergraph] = []
-    for H in enumerate_left_compressed(m, r, Tmax, cfg.require_pair_covering):
+    for H in enumerate_left_compressed(m, r, Tmax):
         candidates.append(H)
         if len(candidates) > cfg.max_candidates:
             raise SizeError(
@@ -301,8 +297,7 @@ def _verify_with_cap(
                 f"{cfg.max_candidates} candidates; raise max_candidates or lower the slack"
             )
     if not candidates:
-        why = "the pair-covering filter removed all" if binom(Tmax, r) >= m else f"C({Tmax},{r}) < {m}"
-        raise SizeError(f"no candidates for (m={m}, r={r}, Tmax={Tmax}): {why}")
+        raise SizeError(f"no candidates for (m={m}, r={r}, Tmax={Tmax}): C({Tmax},{r}) < {m}")
     results = _solve_all(candidates, cfg, pool)
 
     t, regime = classify_regime(m, r)
@@ -310,18 +305,6 @@ def _verify_with_cap(
         colex_exact = clique_lagrangian(t - 1, r)
     else:  # in R2, H^{m,r} has support t <= Tmax and covers every pair: a candidate
         colex_exact = results[candidates.index(colex_segment(m, r))].value_exact
-    colex_float = float(colex_exact)
-
-    # near-tie (and above-baseline) candidates get an exact grid cross-check;
-    # the oracle value is a certified lower bound, so keep whichever is larger
-    for i, res in enumerate(results):
-        if res.value >= colex_float - NEAR_TIE_TOL:
-            try:
-                orc = grid_oracle(candidates[i], ORACLE_DENOMINATOR)
-            except SizeError:
-                continue
-            if orc.value_exact > res.value_exact:
-                results[i] = orc
 
     best_i = min(
         range(len(candidates)),
@@ -419,49 +402,52 @@ def counterexample_monitor(G: Hypergraph, result: LagrangianResult, t: int) -> M
     """Measure a candidate maximizer of G against the structural bounds that
     any graph with lambda(G) > lambda([t-1]^{(r)}) is known to satisfy.
 
-    Bounds checked (eps = 1e-12 float slack; "n/a" when the premise fails or
-    the bound's delta-threshold is not met):
+    Bounds checked ("n/a" when the premise fails or the bound's
+    delta-threshold is not met), each decided exactly in rationals by moving
+    the roots of delta to the other side as powers, with k = (r-1)^2:
 
       T_bound:    T < 10 t
       x1_bound:   x1 <= r / t
       xT_bound:   xT <= 10 / (delta^{1/(r-1)} t)          [delta >= 1]
-      xq_bound:   x_q <= 10 r delta^{-1/(r-1)^2} / t      [delta >= 1]
-      tail_bound: tail_sum <= 20 r delta^{1-1/(r-1)^2}/t  [delta > 4r]
+                  i.e. (xT t)^{r-1} delta <= 10^{r-1}
+      xq_bound:   x_q <= 10 r delta^{-1/k} / t            [delta >= 1]
+                  i.e. (x_q t / (10 r))^k delta <= 1
+      tail_bound: tail_sum <= 20 r delta^{1-1/k} / t      [delta > 4r]
+                  i.e. (tail_sum t / (20 r))^k <= delta^{k-1}
     """
     r = G.r
     if r < 2:
         raise ValueError("monitor needs uniformity >= 2")
     if t < 2:
         raise ValueError("monitor needs t >= 2")
-    weights = sorted((float(v) for v in result.weighting.values if v > 0), reverse=True)
+    weights = sorted((v for v in result.weighting.values if v > 0), reverse=True)
     T = len(weights)
     delta = T - t
 
     premise = result.value_exact > Fraction(binom(t - 1, r), (t - 1) ** r)
 
-    x1 = weights[0] if T else 0.0
-    xT = weights[-1] if T else 0.0
+    x1 = weights[0] if T else Fraction(0)
+    xT = weights[-1] if T else Fraction(0)
     q = None
-    tail = 0.0
+    tail = Fraction(0)
     if T >= 2:
         rhs = Fraction(t, T - 1) * binom(t - 1, r - 1)
         q = r - 1
         while binom(q, r - 1) <= rhs:
             q += 1
-        tail = sum(weights[q:]) if q < T else 0.0
+        tail = sum(weights[q:], Fraction(0))
 
-    flags = {k: "n/a" for k in ("T_bound", "x1_bound", "xT_bound", "xq_bound", "tail_bound")}
+    flags = {name: "n/a" for name in ("T_bound", "x1_bound", "xT_bound", "xq_bound", "tail_bound")}
     if premise:
-        eps = 1e-12
+        k = (r - 1) ** 2
         flags["T_bound"] = _flag(T < 10 * t)
-        flags["x1_bound"] = _flag(x1 <= r / t + eps)
+        flags["x1_bound"] = _flag(x1 <= Fraction(r, t))
         if delta >= 1:
-            flags["xT_bound"] = _flag(xT <= 10.0 / (delta ** (1.0 / (r - 1)) * t) + eps)
-            xq = weights[q - 1] if q is not None and q <= T else 0.0
-            flags["xq_bound"] = _flag(xq <= 10.0 * r * delta ** (-1.0 / (r - 1) ** 2) / t + eps)
+            flags["xT_bound"] = _flag((xT * t) ** (r - 1) * delta <= 10 ** (r - 1))
+            xq = weights[q - 1] if q <= T else Fraction(0)
+            flags["xq_bound"] = _flag((xq * t / (10 * r)) ** k * delta <= 1)
         if delta > 4 * r:
-            bound = 20.0 * r * delta ** (1.0 - 1.0 / (r - 1) ** 2) / t
-            flags["tail_bound"] = _flag(tail <= bound + eps)
+            flags["tail_bound"] = _flag((tail * t / (20 * r)) ** k <= delta ** (k - 1))
 
     return MonitorDiagnostics(
         premise_holds=premise,

@@ -40,7 +40,7 @@ from hylag import (
     verify_conjecture,
     verify_range,
 )
-from hylag import verifier
+from hylag import lagrangian, verifier
 from hylag.verifier import CSV_HEADER
 
 FAST = VerifyConfig(starts=12, seed=0)
@@ -106,10 +106,10 @@ def test_enumerate_empty_when_overfull():
 
 
 def test_enumerate_pair_covering_filter():
-    all_h = list(enumerate_left_compressed(3, 3, 5))
-    cov = list(enumerate_left_compressed(3, 3, 5, require_pair_covering=True))
+    # the pair-covering downsets, as the reference for a generator that
+    # builds only those
+    cov = [H for H in enumerate_left_compressed(3, 3, 5) if covers_pairs(H)[0]]
     assert cov == [Hypergraph(3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])]
-    assert set(cov) <= set(all_h)
 
 
 def test_enumerate_validation():
@@ -254,14 +254,14 @@ def test_candidate_cap():
         verify_conjecture(6, 3, VerifyConfig(starts=4, max_candidates=2))
 
 
-def test_pair_covering_can_empty_the_pool():
-    with pytest.raises(SizeError):
-        verify_conjecture(2, 3, VerifyConfig(starts=4, require_pair_covering=True))
+def test_empty_candidate_pool():
+    with pytest.raises(SizeError, match=r"no candidates for \(m=5, r=3, Tmax=3\): C\(3,3\) < 5"):
+        verifier.verify_many([5], 3, FAST, support_cap=3)
 
 
 def test_r2_colex_segments_cover_every_pair():
     # in R2, H^{m,r} holds [t-1]^{(r)} plus more than C(t-2,r-1) edges at t,
-    # so the pair-covering filter never drops the baseline candidate
+    # so an enumerator of pair-covering downsets still yields the baseline
     checked = 0
     for r in range(2, 6):
         for m in range(1, binom(10, r) + 1):
@@ -271,19 +271,14 @@ def test_r2_colex_segments_cover_every_pair():
     assert checked == 255
 
 
-def test_pair_covering_keeps_the_r2_baseline():
-    assert classify_regime(10, 3) == (5, "R2")
-    cfg = VerifyConfig(starts=4)
-    covering = verify_conjecture(10, 3, VerifyConfig(starts=4, require_pair_covering=True))
-    assert covering.colex_value == verify_conjecture(10, 3, cfg).colex_value
-
-
 def test_uniformity_guard():
     with pytest.raises(ValueError):
         verify_conjecture(3, 1, FAST)
 
 
 def test_verify_config_validation():
+    with pytest.raises(ValueError):
+        VerifyConfig(starts=0)
     with pytest.raises(ValueError):
         VerifyConfig(seed=-1)
     with pytest.raises(ValueError):
@@ -369,7 +364,7 @@ def test_monitor_clique_at_own_order():
     d = counterexample_monitor(clique(5, 3), res, 5)
     assert d.premise_holds
     assert (d.support_size, d.delta) == (5, 0)
-    assert d.x1 == pytest.approx(0.2)
+    assert d.x1 == Fraction(1, 5)
     assert d.bound_flags["T_bound"] == "pass"
     assert d.bound_flags["x1_bound"] == "pass"
     assert d.bound_flags["xT_bound"] == "n/a"
@@ -411,7 +406,42 @@ def test_monitor_tail_sum():
     w = [Fraction(1, T)] * T
     d = counterexample_monitor(clique(T, 3), synthetic_result(w, Fraction(1, 2)), t)
     assert d.q is not None and d.q < T
-    assert d.tail_sum == pytest.approx((T - d.q) / T)
+    assert d.tail_sum == Fraction(T - d.q, T)
+
+
+def two_levels(a, n, T):
+    """n weights a, then T - n equal weights that make the sum 1."""
+    return [a] * n + [(1 - n * a) / (T - n)] * (T - n)
+
+
+JUST_PAST = Fraction(1, 10**13)  # inside the old float slack of 1e-12
+
+
+@pytest.mark.parametrize("past", [0, JUST_PAST], ids=["at", "past"])
+@pytest.mark.parametrize("flag, r, t, weights, shape", [
+    # x1 <= r/t: x1 = 3/4 at r=3, t=4
+    pytest.param("x1_bound", 3, 4, lambda e: two_levels(Fraction(3, 4) + e, 1, 2), (2, 6),
+                 id="x1"),
+    # (xT t)^2 delta <= 100: xT = 1/750 at t=500, delta=225
+    pytest.param("xT_bound", 3, 500, lambda e: two_levels(Fraction(1, 750) + e, 1, 725),
+                 (725, 415), id="xT"),
+    # (x_q t / 30)^4 delta <= 1: x_q = 1/4 at t=20, delta=1296, q=3
+    pytest.param("xq_bound", 3, 20, lambda e: two_levels(Fraction(1, 4) + e, 3, 1316),
+                 (1316, 3), id="xq"),
+    # r=2: tail_sum t / 40 <= 1: tail_sum = 4/5 at t=50, delta=100, q=17
+    pytest.param("tail_bound", 2, 50, lambda e: two_levels((Fraction(1, 5) - e) / 17, 17, 150),
+                 (150, 17), id="tail"),
+])
+def test_monitor_bounds_are_exact(past, flag, r, t, weights, shape):
+    d = counterexample_monitor(clique(r, r), synthetic_result(weights(past), Fraction(1, 2)), t)
+    assert (d.support_size, d.q) == shape
+    assert d.bound_flags[flag] == ("fail" if past else "pass")
+
+
+def test_monitor_support_bound_is_strict():
+    for T, flag in ((39, "pass"), (40, "fail")):
+        res = synthetic_result([Fraction(1, T)] * T, Fraction(1, 2))
+        assert counterexample_monitor(clique(3, 3), res, 4).bound_flags["T_bound"] == flag
 
 
 def test_monitor_validation():
@@ -423,6 +453,22 @@ def test_monitor_validation():
 
 
 # -- reports -------------------------------------------------------------------
+
+
+def test_gap_is_the_rounded_exact_gap():
+    # colex and best values 1e-15 apart: the difference of their floats
+    # would render as 9.99200722163e-16
+    best = Fraction(1, 16) - Fraction(1, 10**15)
+    rep = verifier.VerificationReport(
+        m=4, r=3, t=4, regime="R2", colex_value=Fraction(1, 16), best_candidate_value=best,
+        witness=clique(4, 3), witness_weighting=Weighting([Fraction(1, 4)] * 4),
+        counterexample=False, comparison="exact", candidates_examined=1, support_cap=6,
+        saturated=False, seed=0,
+    )
+    assert rep.gap == 1e-15
+    (entry,) = json.loads(reports_json_text([rep]))["reports"]
+    assert entry["gap"] == {"exact": "1/1000000000000000", "float": 1e-15}
+    assert reports_csv_text([rep]).splitlines()[1] == "4,4,R2,0.0625,0.0625,1e-15,1,false"
 
 
 def test_csv_header_and_row():
@@ -455,13 +501,26 @@ def test_reports_byte_identical():
     assert reports_csv_text(verify_range(3, 4, cfg)) == reports_csv_text(verify_range(3, 4, cfg))
 
 
+R3_T5_SEED1_SHA256 = "2293b974c02265e48b1fffd07bde62dac12bcc1593ff78070b81df074236510d"
+
+
 def test_reports_pinned_bytes():
     # every report field, exact and float, of the r=3, t=5 window at seed 1:
     # a change to these bytes is a change to the report format or results
     text = reports_json_text(verify_range(3, 5, VerifyConfig(seed=1)))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "2293b974c02265e48b1fffd07bde62dac12bcc1593ff78070b81df074236510d"
-    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == R3_T5_SEED1_SHA256
+
+
+def test_reports_need_no_grid_oracle(monkeypatch):
+    # a verdict comes from the solver's certificates alone: the same bytes
+    # come back when the grid oracle cannot be called
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("grid_oracle called")
+
+    monkeypatch.setattr(lagrangian, "grid_oracle", no_oracle)
+    monkeypatch.setattr(verifier, "grid_oracle", no_oracle, raising=False)
+    text = reports_json_text(verify_range(3, 5, VerifyConfig(seed=1)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == R3_T5_SEED1_SHA256
 
 
 def test_reports_pinned_bytes_r4():
