@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 __all__ = [
     "Hypergraph",
     "ShiftPair",
-    "KKLinkBounds",
     "binom",
     "colex_key",
     "colex_rank",
@@ -35,8 +35,6 @@ __all__ = [
     "is_left_compressed",
     "covers_pairs",
     "delete_vertex",
-    "generalized_binomial",
-    "binomial_inverse",
     "kk_link_bounds",
 ]
 
@@ -68,8 +66,9 @@ def colex_rank(edge: Iterable[int]) -> int:
     return sum(binom(v - 1, i + 1) for i, v in enumerate(a))
 
 
-def _max_c_with_binom_le(k: int, i: int) -> int:
-    # largest c >= i-1 with C(c, i) <= k; C(i-1, i) = 0 so the bracket exists
+def _binom_floor(k: int, i: int) -> int:
+    # largest c >= i-1 with C(c, i) <= k, for an int k >= 0; C(i-1, i) = 0 so
+    # the bracket exists
     lo, hi = i - 1, i
     while binom(hi, i) <= k:
         lo, hi = hi, hi * 2
@@ -91,7 +90,7 @@ def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
     k = rank
     out = []
     for i in range(r, 0, -1):
-        c = _max_c_with_binom_le(k, i)
+        c = _binom_floor(k, i)
         out.append(c + 1)
         k -= binom(c, i)
     out.reverse()
@@ -355,57 +354,22 @@ def delete_vertex(H: Hypergraph, i: int) -> Hypergraph:
 # -- Kruskal-Katona-style link bounds ------------------------------------
 
 
-def generalized_binomial(x: float, r: int) -> float:
-    """C(x, r) for real x via the falling factorial x(x-1)...(x-r+1)/r!."""
-    out = 1.0
-    for k in range(r):
-        out *= x - k
-    return out / math.factorial(r)
+def kk_link_bounds(H: Hypergraph) -> tuple[bool, list[int]]:
+    """Shadow bounds for a left-compressed H with e = e(H) = C(x, r), x >= r
+    real: e(H_1) >= C(x-1, r-1) and e(H_j) <= r e / j.
 
-
-def binomial_inverse(e: int, r: int, tol: float = 1e-12) -> float:
-    """The real x >= r with C(x, r) = e, found by monotone bisection."""
-    if e < 1:
-        raise ValueError("need at least one edge to invert C(x, r)")
-    lo, hi = float(r), float(r)
-    while generalized_binomial(hi, r) < e:
-        hi *= 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if generalized_binomial(mid, r) < e:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-@dataclass(frozen=True)
-class KKLinkBounds:
-    """Shadow-style bounds for a left-compressed H with e(H) = C(x, r):
-    e(H_1) >= C(x-1, r-1) and e(H_j) <= r e(H) / j."""
-
-    x: float
-    e_h1: int
-    lower: float
-    degrees: tuple[int, ...]  # degrees[j-1] = e(H_j) for j = 1..max support
-    uppers: tuple[float, ...]  # uppers[j-1] = r e(H) / j
-
-
-def kk_link_bounds(H: Hypergraph) -> KKLinkBounds:
+    Returns (lower bound holds, sorted list of j whose degree bound fails),
+    both decided exactly, without x.  Since C(x-1, r-1) = r e / x, the lower
+    bound is x >= q := r e / e(H_1) (e(H_1) >= 1: the edge [r] is in H).
+    Both x and q are >= r (C(x, r) = e >= 1, and e(H_1) <= e), where the
+    falling factorial C(., r) increases, so this holds iff C(q, r) <= e.
+    """
     ok, violation = is_left_compressed(H)
     if not ok:
         raise ValueError(f"kk_link_bounds needs a left-compressed hypergraph; {violation}")
-    e = len(H)
+    e, r = len(H), H.r
     if e == 0:
         raise ValueError("kk_link_bounds needs at least one edge")
-    x = binomial_inverse(e, H.r)
-    n = H.max_vertex()
-    degrees = tuple(H.degree(j) for j in range(1, n + 1))
-    uppers = tuple(H.r * e / j for j in range(1, n + 1))
-    return KKLinkBounds(
-        x=x,
-        e_h1=degrees[0] if degrees else 0,
-        lower=generalized_binomial(x - 1, H.r - 1),
-        degrees=degrees,
-        uppers=uppers,
-    )
+    q = Fraction(r * e, H.degree(1))
+    lower = math.prod(q - k for k in range(r)) <= e * math.factorial(r)
+    return lower, [j for j in range(1, H.max_vertex() + 1) if j * H.degree(j) > r * e]

@@ -748,9 +748,8 @@ def check_pair_identity(H: Hypergraph, y, i: int, j: int):
     return abs((vals[i - 1] - vals[j - 1]) * pair_val - diff_val)
 
 
-def check_scaling_bound(H: Hypergraph, y, i: int, tol: float = 1e-7,
-                        cfg: SolverConfig | None = None) -> bool:
-    """Does L(H_i, y) <= (1 - y_i)^(r-1) lambda(H_i) + tol hold?
+def check_scaling_bound(H: Hypergraph, y, i: int) -> bool:
+    """Does L(H_i, y) <= (1 - y_i)^(r-1) lambda(H_i) + 1e-7 hold?
 
     The link carries total weight at most 1 - y_i, and L is homogeneous of
     degree r-1 on it.  lambda(H_i) is computed by maximize on the link.
@@ -761,5 +760,5 @@ def check_scaling_bound(H: Hypergraph, y, i: int, tol: float = 1e-7,
     Hi = link(H, (i,))
     if len(Hi) == 0:
         return True
-    lam = maximize(Hi, cfg or SolverConfig(starts=12)).value
-    return evaluate(Hi, vals) <= (1 - vals[i - 1]) ** (H.r - 1) * lam + tol
+    lam = maximize(Hi, SolverConfig(starts=12)).value
+    return evaluate(Hi, vals) <= (1 - vals[i - 1]) ** (H.r - 1) * lam + 1e-7

@@ -50,8 +50,6 @@ def find_improving_swap(H: Hypergraph, y):
     fresh = next(v for v in itertools.count(1) if v not in supp)
     vals += [0] * (fresh - len(vals))
     pool = tuple(sorted(supp | {fresh}))
-    if len(pool) < H.r:
-        return None
     a_val, a_best = min((math.prod(vals[v - 1] for v in e), e) for e in H.edges)
     b_best = None
     b_val = None

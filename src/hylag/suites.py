@@ -89,17 +89,17 @@ def suite_maclaurin(seed: int, trials: int = 500) -> SuiteResult:
 
 
 def suite_kk(seed: int, trials: int = 0) -> SuiteResult:
-    """Exhaustive shadow bounds: over every left-compressed 3-graph with
-    m <= 12 edges on [6], e(H_1) >= C(x-1,2) and e(H_j) <= 3 e(H) / j."""
+    """Exhaustive shadow bounds, decided exactly: over every left-compressed
+    3-graph with m <= 12 edges on [6], e(H_1) >= C(x-1,2) and
+    e(H_j) <= 3 e(H) / j, where C(x,3) = m."""
     del seed, trials  # exhaustive
     out = SuiteResult("kk", 0, 0)
     for m in range(1, 13):
         for H in enumerate_left_compressed(m, 3, 6):
             out.trials += 1
-            b = kk_link_bounds(H)
-            if b.e_h1 + 1e-9 < b.lower:
-                out._fail(f"e(H_1)={b.e_h1} < C(x-1,2)={b.lower} for {H!r}")
-            bad = [j + 1 for j, (d, u) in enumerate(zip(b.degrees, b.uppers)) if d > u + 1e-9]
+            lower, bad = kk_link_bounds(H)
+            if not lower:
+                out._fail(f"e(H_1)={H.degree(1)} < C(x-1,2) with C(x,3)={m} for {H!r}")
             if bad:
                 out._fail(f"degree bound fails at vertices {bad} for {H!r}")
     return out

@@ -29,7 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .hypergraph import Hypergraph, _lower_covers, binom, colex_key, colex_segment
+from .hypergraph import (
+    Hypergraph,
+    _binom_floor,
+    _lower_covers,
+    binom,
+    colex_key,
+    colex_segment,
+)
 from .lagrangian import (
     LagrangianResult,
     SizeError,
@@ -186,10 +193,7 @@ def minimal_clique_order(m: int, r: int) -> int:
     """Smallest t with m <= C(t, r)."""
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
-    t = r
-    while binom(t, r) < m:
-        t += 1
-    return t
+    return _binom_floor(m - 1, r) + 1
 
 
 def _plateau_window(r: int, t: int) -> tuple[int, int]:
@@ -431,10 +435,9 @@ def counterexample_monitor(G: Hypergraph, result: LagrangianResult, t: int) -> M
     q = None
     tail = Fraction(0)
     if T >= 2:
-        rhs = Fraction(t, T - 1) * binom(t - 1, r - 1)
-        q = r - 1
-        while binom(q, r - 1) <= rhs:
-            q += 1
+        # first q with C(q, r-1) > (t/(T-1)) C(t-1, r-1); C(q, r-1) is an
+        # integer, so the floor of the right side decides
+        q = _binom_floor(t * binom(t - 1, r - 1) // (T - 1), r - 1) + 1
         tail = sum(weights[q:], Fraction(0))
 
     flags = {name: "n/a" for name in ("T_bound", "x1_bound", "xT_bound", "xq_bound", "tail_bound")}

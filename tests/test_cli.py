@@ -26,6 +26,7 @@ from hylag import (
     clique,
     colex_segment,
 )
+from hylag import hypergraph, lagrangian, reductions, suites, verifier
 from hylag.cli import _lambda_exit_code, _verify_exit_code, build_parser, main
 
 
@@ -58,10 +59,14 @@ def test_colex_empty(capsys):
     assert H.r == 3 and len(H) == 0
 
 
-def test_colex_rejects_negative_m(capsys):
+def test_colex_rejects_negative_m(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["colex", "--m", "-1", "--r", "3"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", "--input", write_graph(tmp_path, clique(3, 3)), "--starts", "0"])
+    assert exc.value.code == 2
+    assert "--starts: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_missing_subcommand(capsys):
@@ -329,6 +334,19 @@ def test_check_pass(capsys):
     assert stdout == "maclaurin    trials=200    failures=0    pass\n"
 
 
+def test_check_failure_exit(monkeypatch, capsys):
+    # partials off by one fails every unit-difference check: 3 trials make at
+    # least 6 failures, of which the report lists 5
+    partials = suites.partials
+    monkeypatch.setattr(suites, "partials", lambda H, y: [g + 1 for g in partials(H, y)])
+    code, stdout, _ = run_main(capsys, "check", "--suite", "gradient", "--seed", "1",
+                               "--trials", "3")
+    assert code == 1
+    head, *notes = stdout.splitlines()
+    assert head.startswith("gradient") and head.endswith(" FAIL")
+    assert len(notes) == 5 and all(n.startswith("  - d/dy_") for n in notes)
+
+
 def test_check_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "nonesuch"])
@@ -351,6 +369,14 @@ def test_env_seed_invalid(monkeypatch):
     monkeypatch.setenv("HYLAG_SEED", "not-a-number")
     with pytest.raises(SystemExit):
         build_parser()
+
+
+def test_package_exports_every_module_name():
+    modules = (hypergraph, lagrangian, reductions, suites, verifier)
+    assert set(hylag.__all__) == set().union(*(m.__all__ for m in modules))
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(hylag, name) is getattr(m, name), (m.__name__, name)
 
 
 def child_env():

@@ -16,7 +16,6 @@ from hylag import (
     ShiftPair,
     apply_shift,
     binom,
-    binomial_inverse,
     clique,
     colex_key,
     colex_rank,
@@ -24,7 +23,6 @@ from hylag import (
     colex_unrank,
     covers_pairs,
     delete_vertex,
-    generalized_binomial,
     is_left_compressed,
     kk_link_bounds,
     left_compress,
@@ -165,6 +163,8 @@ def test_segments_shift_fixpoint_subsample():
 def test_segment_rejects_negative():
     with pytest.raises(ValueError):
         colex_segment(-1, 3)
+    with pytest.raises(ValueError):
+        clique(-1, 3)
 
 
 # -- hypergraph type -----------------------------------------------------------
@@ -262,6 +262,8 @@ def test_link_validation():
         link(H, {1, 2, 3})
     with pytest.raises(ValueError):
         link(H, set())
+    with pytest.raises(ValueError):
+        link_diff(Hypergraph(1, [(1,), (2,)]), 1, 2)
 
 
 def test_link_diff_examples():
@@ -369,41 +371,38 @@ def test_delete_vertex_examples():
 # -- KK link bounds ---------------------------------------------------------------
 
 
-def test_generalized_binomial_matches_integers():
-    for n in range(2, 12):
-        for r in range(1, 6):
-            assert abs(generalized_binomial(float(n), r) - binom(n, r)) < 1e-9
+def degree_shifted(monkeypatch, vertex, by):
+    """Make Hypergraph.degree report `by` more edges at `vertex`."""
+    degree = Hypergraph.degree
+    monkeypatch.setattr(Hypergraph, "degree",
+                        lambda H, i: degree(H, i) + (by if i == vertex else 0))
 
 
-def test_binomial_inverse_round_trip():
-    for e in (1, 3, 5, 10, 35, 120):
-        for r in (2, 3, 4):
-            x = binomial_inverse(e, r)
-            assert abs(generalized_binomial(x, r) - e) < 1e-6
-    assert abs(binomial_inverse(10, 3) - 5.0) < 1e-9
-    with pytest.raises(ValueError):
-        binomial_inverse(0, 3)
+def test_kk_bounds_clique4(monkeypatch):
+    # at [t]^{(r)}, x = t: e(H_1) = C(t-1, r-1) and t e(H_t) = r e(H), both
+    # bounds met with equality, so no slack may be needed to pass
+    for t, r in [(4, 3), (5, 3), (2, 2), (7, 2), (6, 4), (8, 5), (6, 6)]:
+        assert kk_link_bounds(clique(t, r)) == (True, []), (t, r)
+    degree_shifted(monkeypatch, 1, -1)
+    assert kk_link_bounds(clique(4, 3)) == (False, [])
 
 
-def test_kk_bounds_clique4():
-    b = kk_link_bounds(clique(4, 3))
-    assert b.e_h1 == 3
-    assert abs(b.x - 4.0) < 1e-9
-    assert abs(b.lower - 3.0) < 1e-6  # C(3,2): met with equality
+def test_kk_bounds_clique5_upper(monkeypatch):
+    H = clique(5, 3)
+    assert [j * H.degree(j) for j in range(1, 6)] == [6, 12, 18, 24, 30]  # <= 3 e(H) = 30
+    assert kk_link_bounds(H) == (True, [])
+    degree_shifted(monkeypatch, 5, 1)
+    assert kk_link_bounds(H) == (True, [5])
 
 
-def test_kk_bounds_clique5_upper():
-    b = kk_link_bounds(clique(5, 3))
-    assert b.degrees[0] == 6
-    assert b.uppers[0] == 30.0
-    assert b.degrees[0] <= b.uppers[0]
-
-
-def test_kk_bounds_h53():
-    b = kk_link_bounds(colex_segment(5, 3))
-    assert b.e_h1 == 4
-    assert 3.5 < b.lower < 3.6  # C(x-1,2) for C(x,3)=5
-    assert b.e_h1 >= b.lower
+def test_kk_bounds_h53(monkeypatch):
+    # C(x, 3) = 5 puts x near 4.2 and C(x-1, 2) near 3.55: e(H_1) = 4 clears
+    # it and 3 does not
+    H = colex_segment(5, 3)
+    assert H.degree(1) == 4
+    assert kk_link_bounds(H) == (True, [])
+    degree_shifted(monkeypatch, 1, -1)
+    assert kk_link_bounds(H) == (False, [])
 
 
 def test_kk_bounds_requires_compressed():

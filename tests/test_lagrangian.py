@@ -924,6 +924,8 @@ def test_grid_oracle_guards():
         grid_oracle(clique(3, 3), 0)
     with pytest.raises(SizeError):
         grid_oracle(clique(40, 2), 12)
+    with pytest.raises(SizeError):  # numpy's int64 products would overflow
+        grid_oracle(Hypergraph(1, [(1,)]), 2**63)
     assert grid_oracle(Hypergraph(3, []), 5).method == "degenerate"
 
 
@@ -1022,6 +1024,8 @@ def test_pair_identity_at_maximizers():
         assert check_pair_identity(clique(4, 3), uniform, i, j) == 0
     with pytest.raises(ValueError):
         check_pair_identity(STAR, STAR_MAX, 3, 2)
+    with pytest.raises(ValueError):
+        check_pair_identity(Hypergraph(1, [(1,), (2,)]), [Fraction(1, 2)] * 2, 1, 2)
 
 
 def test_pair_identity_r2_uses_indicator():
@@ -1037,3 +1041,7 @@ def test_scaling_bound_equality_case():
 
 def test_scaling_bound_degenerate_weight_one():
     assert check_scaling_bound(clique(4, 3), [Fraction(1), Fraction(0), Fraction(0), Fraction(0)], 1)
+    # vertex 3 has an empty link, whose Lagrangian bound holds trivially
+    assert check_scaling_bound(Hypergraph(3, [(1, 2, 4)]), [Fraction(1, 4)] * 4, 3)
+    with pytest.raises(ValueError):
+        check_scaling_bound(Hypergraph(1, [(1,)]), [Fraction(1)], 1)

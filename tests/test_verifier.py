@@ -129,6 +129,12 @@ def test_minimal_clique_order():
     assert minimal_clique_order(4, 3) == 4
     assert minimal_clique_order(5, 3) == 5
     assert minimal_clique_order(10, 3) == 5
+    for r in range(1, 7):  # against the linear scan
+        t = r
+        for m in range(1, 2001):
+            while binom(t, r) < m:
+                t += 1
+            assert minimal_clique_order(m, r) == t, (m, r)
     with pytest.raises(ValueError):
         minimal_clique_order(0, 3)
 
@@ -391,13 +397,18 @@ def test_monitor_premise_false():
 
 
 def test_monitor_q_definition():
-    # q is pinned by C(q-1,r-1) <= (t/(T-1)) C(t-1,r-1) < C(q,r-1)
-    for t in range(3, 7):
-        for T in range(t, 3 * t):
-            w = [Fraction(1, T)] * T
-            d = counterexample_monitor(clique(max(T, 3), 3), synthetic_result(w, Fraction(1, 2)), t)
-            rhs = Fraction(t, T - 1) * binom(t - 1, 2)
-            assert binom(d.q - 1, 2) <= rhs < binom(d.q, 2), (t, T, d.q)
+    # q is pinned by C(q-1,r-1) <= (t/(T-1)) C(t-1,r-1) < C(q,r-1), also
+    # where the middle term is exactly a binomial
+    exact = 0
+    for r in range(2, 7):
+        for t in range(2, 13):
+            for T in range(2, 3 * t):
+                w = [Fraction(1, T)] * T
+                d = counterexample_monitor(clique(r, r), synthetic_result(w, Fraction(1, 2)), t)
+                rhs = Fraction(t, T - 1) * binom(t - 1, r - 1)
+                assert binom(d.q - 1, r - 1) <= rhs < binom(d.q, r - 1), (r, t, T, d.q)
+                exact += rhs == binom(d.q - 1, r - 1)
+    assert exact == 228
 
 
 def test_monitor_tail_sum():
