@@ -1,119 +1,20 @@
 """hylag: Lagrangians of uniform hypergraphs — exact combinatorics, a
 certified numeric maximizer, and an exhaustive small-case verifier for the
 conjecture that colex segments maximize the Lagrangian at every edge count.
+
+The package exports every name in its library modules' __all__ lists.
 """
 
-from .hypergraph import (
-    Hypergraph,
-    ShiftPair,
-    apply_shift,
-    binom,
-    clique,
-    colex_key,
-    colex_rank,
-    colex_segment,
-    colex_unrank,
-    covers_pairs,
-    delete_vertex,
-    is_left_compressed,
-    kk_link_bounds,
-    left_compress,
-    link,
-    link_diff,
-)
-from .lagrangian import (
-    KKTResidual,
-    LagrangianResult,
-    SizeError,
-    SolverConfig,
-    Weighting,
-    check_pair_identity,
-    check_scaling_bound,
-    clique_lagrangian,
-    evaluate,
-    float12,
-    grid_oracle,
-    kkt_residual,
-    max_clique_number,
-    maximize,
-    motzkin_straus_value,
-    partials,
-    symmetrize,
-)
-from .reductions import (
-    find_improving_swap,
-    uncovered_pair_reduce,
-)
-from .suites import SUITES, SuiteResult, available_suites, run_suite
-from .verifier import (
-    MonitorDiagnostics,
-    VerificationReport,
-    VerifyConfig,
-    classify_regime,
-    counterexample_monitor,
-    enumerate_left_compressed,
-    minimal_clique_order,
-    reports_csv_text,
-    reports_json_text,
-    restricted_support_verify,
-    verify_conjecture,
-    verify_many,
-    verify_range,
-)
+from . import hypergraph, lagrangian, reductions, suites, verifier
+from .hypergraph import *  # noqa: F403
+from .lagrangian import *  # noqa: F403
+from .reductions import *  # noqa: F403
+from .suites import *  # noqa: F403
+from .verifier import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Hypergraph",
-    "KKTResidual",
-    "LagrangianResult",
-    "MonitorDiagnostics",
-    "SUITES",
-    "ShiftPair",
-    "SizeError",
-    "SolverConfig",
-    "SuiteResult",
-    "VerificationReport",
-    "VerifyConfig",
-    "Weighting",
-    "apply_shift",
-    "available_suites",
-    "binom",
-    "check_pair_identity",
-    "check_scaling_bound",
-    "classify_regime",
-    "clique",
-    "clique_lagrangian",
-    "colex_key",
-    "colex_rank",
-    "colex_segment",
-    "colex_unrank",
-    "counterexample_monitor",
-    "covers_pairs",
-    "delete_vertex",
-    "enumerate_left_compressed",
-    "evaluate",
-    "find_improving_swap",
-    "float12",
-    "grid_oracle",
-    "is_left_compressed",
-    "kk_link_bounds",
-    "kkt_residual",
-    "left_compress",
-    "link",
-    "link_diff",
-    "max_clique_number",
-    "maximize",
-    "minimal_clique_order",
-    "motzkin_straus_value",
-    "partials",
-    "reports_csv_text",
-    "reports_json_text",
-    "restricted_support_verify",
-    "run_suite",
-    "symmetrize",
-    "uncovered_pair_reduce",
-    "verify_conjecture",
-    "verify_many",
-    "verify_range",
-]
+__all__ = sorted(
+    name for module in (hypergraph, lagrangian, reductions, suites, verifier)
+    for name in module.__all__
+)

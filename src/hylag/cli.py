@@ -12,8 +12,10 @@ Exit codes: 0 success; 1 counterexample found (verify) or suite failure
 certified (KKT residual above --tol); 4 saturation warning (best witness
 uses the entire allowed support; re-run with more slack).
 
-HYLAG_SEED and HYLAG_JOBS set the default --seed and --jobs.  All output is
-deterministic for fixed arguments and seed.
+HYLAG_SEED and HYLAG_JOBS set the default --seed and --jobs; they are
+checked like the flags, and a bad value exits 2.  Every other default is the
+library's (SolverConfig, VerifyConfig).  All output is deterministic for
+fixed arguments and seed.
 """
 
 from __future__ import annotations
@@ -37,16 +39,6 @@ from .verifier import (
 __all__ = ["main", "build_parser"]
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"hylag: {name} must be an integer, got {raw!r}") from None
-
-
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -61,15 +53,32 @@ def _positive(text: str) -> int:
     return value
 
 
+def _env_default(name: str, check, fallback: int) -> int:
+    # the environment's default for a flag, through the flag's own check:
+    # argparse runs `type` only on string defaults
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return fallback
+    try:
+        return check(raw)
+    except ValueError:
+        problem = f"must be an integer, got {raw!r}"
+    except argparse.ArgumentTypeError as exc:
+        problem = str(exc)
+    print(f"hylag: {name} {problem}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hylag",
         description="Hypergraph Lagrangians: compute, maximize, verify.",
-        epilog="Environment: HYLAG_SEED, HYLAG_JOBS set default --seed/--jobs.",
+        epilog="Environment: HYLAG_SEED, HYLAG_JOBS set default --seed/--jobs "
+               "and are checked like them (exit 2).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _env_int("HYLAG_SEED", 0)
-    jobs_default = _env_int("HYLAG_JOBS", 1)
+    seed_default = _env_default("HYLAG_SEED", _nonneg, VerifyConfig.seed)
+    jobs_default = _env_default("HYLAG_JOBS", _positive, VerifyConfig.jobs)
 
     p = sub.add_parser("colex", help="write H^{m,r} as an edge list")
     p.add_argument("--m", type=_nonneg, required=True, help="number of edges")
@@ -78,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="maximize the Lagrangian of an edge-list file")
     p.add_argument("--input", required=True, help="edge-list file")
-    p.add_argument("--starts", type=_positive, default=50)
+    p.add_argument("--starts", type=_positive, default=SolverConfig.starts)
     p.add_argument("--tol", type=float, default=1e-7,
                    help="KKT residual above this exits 3 (uncertified)")
     p.add_argument("--seed", type=_nonneg, default=seed_default)
@@ -93,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the whole plateau window of [t-1]^{(r)}")
     group.add_argument("--m", type=_positive, action="append", default=None,
                        help="edge count; repeatable")
-    p.add_argument("--support-slack", type=_nonneg, default=2)
-    p.add_argument("--starts", type=_positive, default=50)
+    p.add_argument("--support-slack", type=_nonneg, default=VerifyConfig.support_slack)
+    p.add_argument("--starts", type=_positive, default=VerifyConfig.starts)
     p.add_argument("--seed", type=_nonneg, default=seed_default)
     p.add_argument("--jobs", type=_positive, default=jobs_default)
     p.add_argument("--output", default="verify_report",

@@ -90,25 +90,26 @@ def float12(x) -> float:
     return float(f"{float(x):.12g}")
 
 
+@dataclass(frozen=True)
 class Weighting:
     """An exact weight vector: values[i-1] is the weight of vertex i.
 
-    Entries are Fraction/int, stored as Fractions, nonnegative and summing to
-    exactly 1; anything else raises ValueError.  The empty weighting is legal
-    as the degenerate weighting of an edgeless hypergraph.  Every function
-    that takes a weight vector accepts a Weighting or a plain sequence of
-    Fraction/int entries.
+    Entries are Fraction/int, stored as a tuple of Fractions, nonnegative and
+    summing to exactly 1; anything else raises ValueError.  The empty
+    weighting is legal as the degenerate weighting of an edgeless
+    hypergraph.  Every function that takes a weight vector accepts a
+    Weighting or a plain sequence of Fraction/int entries.
     """
 
-    __slots__ = ("values",)
+    values: tuple[Fraction, ...]
 
-    def __init__(self, values: Iterable):
-        vals = tuple(Fraction(v) for v in _exact(values))
+    def __post_init__(self):
+        vals = tuple(Fraction(v) for v in _exact(self.values))
         if vals and sum(vals) != 1:
             raise ValueError(f"weighting sums to {sum(vals)}, not 1")
         if any(v < 0 for v in vals):
             raise ValueError("weighting entries must be nonnegative")
-        self.values = vals
+        object.__setattr__(self, "values", vals)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -118,22 +119,8 @@ class Weighting:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, idx: int):
-        return self.values[idx]
-
     def __iter__(self):
         return iter(self.values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Weighting):
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
-    def __repr__(self) -> str:
-        return f"Weighting({list(self.values)})"
 
     def to_json_dict(self) -> dict:
         return {"values": [str(v) for v in self.values]}
@@ -419,6 +406,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def _certified(H: Hypergraph, fr: Sequence[Fraction], method: str, starts: int,
@@ -666,7 +655,11 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     points = binom(N + k - 1, k - 1)
     if points > 10**8:
         raise SizeError(f"grid has {points} points, over the 1e8 guard")
-    if len(H) * N**H.r > 2**62:
+    # j entries summing to at most N multiply to at most q^(j-s) (q+1)^s,
+    # (q, s) = divmod(N, j): a bound on every prefix product np.prod forms
+    # and, times len(H), on the sum
+    peak = max(q ** (j - s) * (q + 1) ** s for j in range(1, H.r + 1) for q, s in [divmod(N, j)])
+    if len(H) * peak > 2**63 - 1:
         raise SizeError("grid products exceed exact int64 range")
     E, _ = _compile_edges(H)
     left_compressed = is_left_compressed(H)[0]

@@ -73,7 +73,7 @@ def _random_exact_simplex(rng: np.random.Generator, n: int) -> list[Fraction]:
     return [Fraction(x, s) for x in w]
 
 
-def suite_maclaurin(seed: int, trials: int = 500) -> SuiteResult:
+def suite_maclaurin(seed: int, trials: int) -> SuiteResult:
     """Elementary symmetric sums on the simplex: e_r(y) <= C(n,r)/n^r, exactly."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("maclaurin", trials, 0)
@@ -88,7 +88,7 @@ def suite_maclaurin(seed: int, trials: int = 500) -> SuiteResult:
     return out
 
 
-def suite_kk(seed: int, trials: int = 0) -> SuiteResult:
+def suite_kk(seed: int, trials: int) -> SuiteResult:
     """Exhaustive shadow bounds, decided exactly: over every left-compressed
     3-graph with m <= 12 edges on [6], e(H_1) >= C(x-1,2) and
     e(H_j) <= 3 e(H) / j, where C(x,3) = m."""
@@ -105,7 +105,7 @@ def suite_kk(seed: int, trials: int = 0) -> SuiteResult:
     return out
 
 
-def suite_scaling(seed: int, trials: int = 500) -> SuiteResult:
+def suite_scaling(seed: int, trials: int) -> SuiteResult:
     """Link values scale: L(H_i, y) <= (1 - y_i)^(r-1) lambda(H_i)."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("scaling", trials, 0)
@@ -128,7 +128,7 @@ def _kkt_fixtures() -> list[Hypergraph]:
     return fixtures
 
 
-def suite_kkt(seed: int, trials: int = 30) -> SuiteResult:
+def suite_kkt(seed: int, trials: int) -> SuiteResult:
     """At every computed maximizer: on-support links equal r L within 1e-7,
     off-support links do not exceed it by 1e-7, and on left-compressed
     instances every support pair obeys the pair identity within 1e-6."""
@@ -157,7 +157,7 @@ def suite_kkt(seed: int, trials: int = 30) -> SuiteResult:
     return out
 
 
-def suite_compression(seed: int, trials: int = 500) -> SuiteResult:
+def suite_compression(seed: int, trials: int) -> SuiteResult:
     """Left compression never lowers the Lagrangian."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("compression", trials, 0)
@@ -175,7 +175,7 @@ def suite_compression(seed: int, trials: int = 500) -> SuiteResult:
     return out
 
 
-def suite_swaps(seed: int, trials: int = 500) -> SuiteResult:
+def suite_swaps(seed: int, trials: int) -> SuiteResult:
     """Soundness of the swap search: a reported (A, B) strictly improves L at
     the given weighting; and no improving swap exists at the maximizers of
     the colex segments H^{m,3}, m <= 7."""
@@ -205,7 +205,7 @@ def suite_swaps(seed: int, trials: int = 500) -> SuiteResult:
     return out
 
 
-def suite_uncovered(seed: int, trials: int = 500) -> SuiteResult:
+def suite_uncovered(seed: int, trials: int) -> SuiteResult:
     """Uncovered-pair reduction bounds lambda: lambda(H) <= max over parts."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("uncovered", trials, 0)
@@ -225,7 +225,7 @@ def suite_uncovered(seed: int, trials: int = 500) -> SuiteResult:
     return out
 
 
-def suite_symmetrize(seed: int, trials: int = 500) -> SuiteResult:
+def suite_symmetrize(seed: int, trials: int) -> SuiteResult:
     """Averaging the weights of exchangeable vertices never lowers L (exact)."""
     rng = np.random.default_rng(seed)
     out = SuiteResult("symmetrize", trials, 0)
@@ -245,7 +245,7 @@ def suite_symmetrize(seed: int, trials: int = 500) -> SuiteResult:
     return out
 
 
-def suite_gradient(seed: int, trials: int = 500) -> SuiteResult:
+def suite_gradient(seed: int, trials: int) -> SuiteResult:
     """partials() is the unit difference: L is affine in each weight, so
     L(y + e_i) - L(y) = L(H_i, y), exactly."""
     rng = np.random.default_rng(seed)

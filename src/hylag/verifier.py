@@ -65,30 +65,28 @@ __all__ = [
 
 CSV_HEADER = "m,t,regime,colex_value,best_value,gap,candidates,counterexample"
 
+# enumeration limit per m; below 2**20, so the candidate seeds
+# (seed << 20) + i of _solve_all stay distinct across seeds
+MAX_CANDIDATES = 200_000
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
     """Knobs for the verification pipeline: starts (multistart solves per
     candidate), seed, support_slack (vertices allowed past the minimal clique
-    order), max_candidates (enumeration limit per m) and jobs (worker
-    processes).  Defaults match the reported desk-scale runs; seed and jobs
-    never change the output, only the cost."""
+    order) and jobs (worker processes).  Defaults match the reported
+    desk-scale runs; seed and jobs never change the output, only the cost.
+    starts and seed are checked as SolverConfig checks them."""
 
     starts: int = 50
     seed: int = 0
     support_slack: int = 2
-    max_candidates: int = 200_000
     jobs: int = 1
 
     def __post_init__(self):
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        SolverConfig(starts=self.starts, seed=self.seed)
         if self.support_slack < 0:
             raise ValueError("support_slack must be nonnegative")
-        if not 1 <= self.max_candidates < (1 << 20):
-            raise ValueError("max_candidates must be in [1, 2^20)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 
@@ -295,10 +293,10 @@ def _verify_with_cap(
     candidates: list[Hypergraph] = []
     for H in enumerate_left_compressed(m, r, Tmax):
         candidates.append(H)
-        if len(candidates) > cfg.max_candidates:
+        if len(candidates) > MAX_CANDIDATES:
             raise SizeError(
                 f"enumeration for (m={m}, r={r}, Tmax={Tmax}) exceeds "
-                f"{cfg.max_candidates} candidates; raise max_candidates or lower the slack"
+                f"{MAX_CANDIDATES} candidates; lower the support cap"
             )
     if not candidates:
         raise SizeError(f"no candidates for (m={m}, r={r}, Tmax={Tmax}): C({Tmax},{r}) < {m}")

@@ -365,15 +365,50 @@ def test_env_seed_default(monkeypatch):
     assert args.seed == 31 and args.jobs == 2
 
 
-def test_env_seed_invalid(monkeypatch):
+def test_env_seed_invalid(monkeypatch, capsys):
     monkeypatch.setenv("HYLAG_SEED", "not-a-number")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         build_parser()
+    assert exc.value.code == 2
+    assert "HYLAG_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value, argv",
+    [
+        ("HYLAG_SEED", "-5", ["lambda", "--starts", "1"]),
+        ("HYLAG_SEED", "x", ["lambda"]),
+        ("HYLAG_JOBS", "0", ["verify", "--r", "3", "--m", "2"]),
+    ],
+)
+def test_env_defaults_checked_like_flags(monkeypatch, capsys, tmp_path, name, value, argv):
+    # the environment's defaults go through the flags' checks and exit 2,
+    # naming the variable, before any solve or output
+    path = tmp_path / "h.txt"
+    path.write_text(colex_segment(3, 3).to_text())
+    if argv[0] == "lambda":
+        argv = argv + ["--input", str(path)]
+    else:
+        argv = argv + ["--output", str(tmp_path / "rep")]
+    monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"hylag: {name} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.txt"]
 
 
 def test_package_exports_every_module_name():
     modules = (hypergraph, lagrangian, reductions, suites, verifier)
-    assert set(hylag.__all__) == set().union(*(m.__all__ for m in modules))
+    owners: dict[str, list[str]] = {}
+    for m in modules:
+        for name in m.__all__:
+            owners.setdefault(name, []).append(m.__name__)
+    # the package star-imports each module, so a name two modules export
+    # would shadow one of them silently
+    assert {n: o for n, o in owners.items() if len(o) > 1} == {}
+    assert set(hylag.__all__) == set(owners)
     for m in modules:
         for name in m.__all__:
             assert getattr(hylag, name) is getattr(m, name), (m.__name__, name)

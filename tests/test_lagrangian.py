@@ -801,6 +801,8 @@ def test_result_json_dict():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(starts=0)
+    with pytest.raises(ValueError):
+        SolverConfig(seed=-1)
 
 
 # -- grid oracle -------------------------------------------------------------------
@@ -926,6 +928,9 @@ def test_grid_oracle_guards():
         grid_oracle(clique(40, 2), 12)
     with pytest.raises(SizeError):  # numpy's int64 products would overflow
         grid_oracle(Hypergraph(1, [(1,)]), 2**63)
+    # 12 units on the 18 vertices of one edge: no product can overflow (and
+    # every one is 0), though 12**18 > 2**63
+    assert grid_oracle(Hypergraph(18, [range(1, 19)]), 12).value_exact == 0
     assert grid_oracle(Hypergraph(3, []), 5).method == "degenerate"
 
 

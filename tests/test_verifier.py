@@ -255,9 +255,12 @@ def test_saturation_flag():
     assert not verify_conjecture(4, 3, FAST).saturated
 
 
-def test_candidate_cap():
+def test_candidate_cap(monkeypatch):
+    # candidate i of a run at seed s solves at (s << 20) + i
+    assert verifier.MAX_CANDIDATES < 1 << 20
+    monkeypatch.setattr(verifier, "MAX_CANDIDATES", 2)
     with pytest.raises(SizeError):
-        verify_conjecture(6, 3, VerifyConfig(starts=4, max_candidates=2))
+        verify_conjecture(6, 3, VerifyConfig(starts=4))
 
 
 def test_empty_candidate_pool():
@@ -290,10 +293,6 @@ def test_verify_config_validation():
     with pytest.raises(ValueError):
         VerifyConfig(support_slack=-1)
     with pytest.raises(ValueError):
-        VerifyConfig(max_candidates=0)
-    with pytest.raises(ValueError):
-        VerifyConfig(max_candidates=1 << 20)
-    with pytest.raises(ValueError):
         VerifyConfig(jobs=0)
 
 
@@ -324,13 +323,13 @@ def test_one_worker_pool_per_window(monkeypatch):
     assert built == [2]
 
 
-def test_error_in_shared_pool_leaves_no_worker():
+def test_error_in_shared_pool_leaves_no_worker(monkeypatch):
     # m = 4, 5, 6 are solved in the pool (3, 4, 5 candidates); m = 7 has 7
+    monkeypatch.setattr(verifier, "MAX_CANDIDATES", 6)
     with pytest.raises(SizeError) as exc:
-        verify_range(3, 5, VerifyConfig(starts=4, jobs=2, max_candidates=6))
+        verify_range(3, 5, VerifyConfig(starts=4, jobs=2))
     assert str(exc.value) == (
-        "enumeration for (m=7, r=3, Tmax=7) exceeds 6 candidates; "
-        "raise max_candidates or lower the slack"
+        "enumeration for (m=7, r=3, Tmax=7) exceeds 6 candidates; lower the support cap"
     )
     assert multiprocessing.active_children() == []
 
