@@ -8,8 +8,9 @@ tuple (a_r, ..., a_1).  The initial segment of m r-sets in this order is
 written H^{m,r} throughout.
 
 Also here: links and pair-difference links, left-compression (ij-shifts),
-the equivalent domination-downset test, pair coverage, vertex deletion, and
-the Kruskal-Katona-style bounds on link sizes of left-compressed graphs.
+the equivalent domination-downset test, pair coverage, vertex deletion, the
+uncovered-pair reduction, and the Kruskal-Katona-style bounds on link sizes
+of left-compressed graphs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "is_left_compressed",
     "covers_pairs",
     "delete_vertex",
+    "uncovered_pair_reduce",
     "kk_link_bounds",
 ]
 
@@ -214,9 +216,7 @@ def clique(t: int, r: int) -> Hypergraph:
     """[t]^{(r)}: all r-subsets of {1, ..., t} (edgeless when t < r)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    import itertools
-
-    return Hypergraph(r, itertools.combinations(range(1, t + 1), r))
+    return colex_segment(binom(t, r), r)
 
 
 # -- links ---------------------------------------------------------------
@@ -349,6 +349,17 @@ def covers_pairs(H: Hypergraph) -> tuple[bool, list[tuple[int, int]]]:
 def delete_vertex(H: Hypergraph, i: int) -> Hypergraph:
     """Drop every edge containing i (uniformity unchanged)."""
     return Hypergraph(H.r, (e for e in H.edges if i not in e))
+
+
+def uncovered_pair_reduce(H: Hypergraph) -> list[Hypergraph]:
+    """One reduction step: [H] if H covers pairs, else [H - i, H - j] for the
+    first uncovered support pair {i, j}; lambda(H) <= max over the parts: no
+    edge holds both, so L is affine in how y_i + y_j splits, best at an end."""
+    ok, uncovered = covers_pairs(H)
+    if ok:
+        return [H]
+    i, j = uncovered[0]
+    return [delete_vertex(H, i), delete_vertex(H, j)]
 
 
 # -- Kruskal-Katona-style link bounds ------------------------------------

@@ -35,6 +35,7 @@ order is scored only when it is not descending already.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +68,7 @@ __all__ = [
     "kkt_residual",
     "check_pair_identity",
     "check_scaling_bound",
+    "find_improving_swap",
     "float12",
 ]
 
@@ -238,7 +240,7 @@ def _replicator_batch(E, n, Y, r):
         L = Lnew
         if done:
             break
-    return Y, L
+    return Y
 
 
 def _face_step(A, rhs):
@@ -311,30 +313,26 @@ def _newton_batch(E, n, r, Z, S):
 def _newton_faces(E, n, r, Y, chunk=64):
     # solve the face system on each row's support S, each time from the row:
     # weights the solution drives negative leave S; when Newton fails, the
-    # smallest weight of the row does.  Blocks of at most chunk rows retry
-    # their pending rows in rounds.  Returns (Z, L, found) with each found
-    # row z > 0 exactly on its final S and L = L(H, z)
+    # smallest weight does.  No row of Y is empty, and a one-vertex face
+    # settles at once (its right-hand side is 0), so every row ends on its
+    # face.  Blocks of at most chunk rows retry their pending rows in rounds.
+    # Returns (Z, L), each row z > 0 exactly on its final S and L = L(H, z)
     s = Y.shape[0]
     Z = np.zeros_like(Y)
     L = np.zeros(s)
-    found = np.zeros(s, dtype=bool)
     for lo in range(0, s, chunk):
         rows = np.arange(lo, min(lo + chunk, s))
         S = Y[rows] > 0
-        while True:
-            keep = S.any(axis=1)
-            rows, S = rows[keep], S[keep]
-            if not len(rows):
-                break
+        while len(rows):
             y = np.where(S, Y[rows], 0.0)
             z, l, ok = _newton_batch(E, n, r, y / y.sum(axis=1, keepdims=True), S)
             hit = ok & ((z > 0) | ~S).all(axis=1)
-            Z[rows[hit]], L[rows[hit]], found[rows[hit]] = z[hit], l[hit], True
+            Z[rows[hit]], L[rows[hit]] = z[hit], l[hit]
             fail = np.flatnonzero(~ok)
             S[fail, np.where(S[fail], y[fail], np.inf).argmin(axis=1)] = False
             S[ok] &= z[ok] > 0
             rows, S = rows[~hit], S[~hit]
-    return Z, L, found
+    return Z, L
 
 
 def _distinct(Y, rows) -> list[int]:
@@ -479,10 +477,12 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     batched replicator burn-in of at most BURN_IN steps brings each run near a
     face; Newton's method then solves every distinct run's face system,
     L(H_i, y) = r L(H, y) on the support and sum y = 1, dropping weights it
-    drives negative.  The runs step together: one kernel call and one stacked
-    symmetric eigen-solve (the least-squares step) per Newton step, in blocks
-    of runs so memory stays bounded; where a run's steps halve, as at a
-    singular root, the step is doubled.  Runs within 1e-10 of the best value
+    drives negative, or the smallest weight where Newton fails; a one-vertex
+    face always settles, so every distinct run ends at a point of a face.
+    The runs step together: one kernel call and one stacked symmetric
+    eigen-solve (the least-squares step) per Newton step, in blocks of runs
+    so memory stays bounded; where a run's steps halve, as at a singular
+    root, the step is doubled.  Runs within 1e-10 of the best value
     drop their smallest weight while the value holds to rounding, so a flat
     face yields a point of minimal support.  Among the distinct ones of those
     runs the one with the fewest positive weights wins, then the
@@ -510,25 +510,23 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         g = np.random.default_rng((cfg.seed, s_i)).exponential(1.0, k)
         Y0[s_i] = g / g.sum()
 
-    Y, L = _replicator_batch(E, k, Y0, r)
-
-    # finish each distinct row on its face; keep the burn-in row if Newton fails
-    rows = np.array(_distinct(Y, range(cfg.starts)))
-    Z, LZ, found = _newton_faces(E, k, r, np.where(Y[rows] > ZERO_TOL, Y[rows], 0.0))
-    Y[rows[found]], L[rows[found]] = Z[found], LZ[found]
+    # finish each distinct burn-in run on its face
+    Y = _replicator_batch(E, k, Y0, r)
+    Y = Y[_distinct(Y, range(cfg.starts))]
+    Y, L = _newton_faces(E, k, r, np.where(Y > ZERO_TOL, Y, 0.0))
 
     # rows tied with the best shed their smallest weight, one a round, while
-    # the value holds to rounding; a row that meets another stops shedding
-    best = float(L[rows].max())
-    tie_rows = shedding = _distinct(Y, rows[L[rows] >= best - 1e-10])
-    while shedding:
-        t = np.array(shedding)
+    # the value holds to rounding and a weight is left; a row that meets
+    # another stops shedding
+    tie_rows = _distinct(Y, np.flatnonzero(L >= L.max() - 1e-10))
+    t = np.array(tie_rows)
+    while len(t := t[(Y[t] > 0).sum(axis=1) > 1]):
         y = Y[t]
         y[np.arange(len(t)), np.where(y > 0, y, np.inf).argmin(axis=1)] = 0.0
-        Z, LZ, found = _newton_faces(E, k, r, y)
-        shed = found & (LZ >= L[t] - DROP_TOL)
+        Z, LZ = _newton_faces(E, k, r, y)
+        shed = LZ >= L[t] - DROP_TOL
         Y[t[shed]], L[t[shed]] = Z[shed], LZ[shed]
-        shedding = _distinct(Y, t[shed])
+        t = np.array(_distinct(Y, t[shed]), dtype=np.int64)
 
     # of the distinct tie rows (a tie row may have met another while
     # shedding): fewest weights above ZERO_TOL, then the largest descending
@@ -638,11 +636,10 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     swapping y_i < y_j changes L by (y_j - y_i)(L(H_{i\\j}) - L(H_{j\\i})) >= 0.
     Swaps stay on the grid, so some grid maximizer is non-increasing.  The
     support of a left-compressed H is {1..k}, so positions are vertex labels.
-    Among non-increasing grid maximizers the one returned has the fewest
-    positive entries, then is lexicographically smallest; among all
-    compositions, the lexicographically smallest.  One walk yields either
-    set, in lexicographic order and in blocks of 65,536 points, so memory
-    does not grow with N.
+    Of the grid maximizers walked, the one returned has the fewest positive
+    entries, then is lexicographically smallest, as maximize ranks its runs
+    by support size first.  One walk yields either set, in lexicographic
+    order and in blocks of 65,536 points, so memory does not grow with N.
 
     The 1e8-point guard counts the full grid C(N+k-1, k-1) either way, so the
     same calls raise SizeError whatever the shape of H.
@@ -662,20 +659,15 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     if len(H) * peak > 2**63 - 1:
         raise SizeError("grid products exceed exact int64 range")
     E, _ = _compile_edges(H)
-    left_compressed = is_left_compressed(H)[0]
     best_key, best_comp = None, None
-    for comp in _grid(N, k, left_compressed):
+    for comp in _grid(N, k, is_left_compressed(H)[0]):
         vals = np.prod(comp[:, E], axis=2, dtype=np.int64).sum(axis=1)
         tied = np.flatnonzero(vals == vals.max())
-        # ties go to the earlier row of the walk; among partitions (walked in
-        # ascending order) to fewer positive entries first
-        if left_compressed:
-            npos = (comp[tied] > 0).sum(axis=1)
-            i = int(np.argmin(npos))
-            key = (int(vals[tied[i]]), -int(npos[i]))
-        else:
-            i = 0
-            key = (int(vals[tied[0]]), 0)
+        # ties go to fewer positive entries, then to the earlier row of the
+        # walk (which is lexicographically ascending)
+        npos = (comp[tied] > 0).sum(axis=1)
+        i = int(np.argmin(npos))
+        key = (int(vals[tied[i]]), -int(npos[i]))
         if best_key is None or key > best_key:
             best_key, best_comp = key, comp[tied[i]].copy()
     return _certified(H, [Fraction(int(c), N) for c in best_comp], "oracle", 0, None)
@@ -755,3 +747,38 @@ def check_scaling_bound(H: Hypergraph, y, i: int) -> bool:
         return True
     lam = maximize(Hi, SolverConfig(starts=12)).value
     return evaluate(Hi, vals) <= (1 - vals[i - 1]) ** (H.r - 1) * lam + 1e-7
+
+
+def find_improving_swap(H: Hypergraph, y):
+    """Find (A in H, B not in H) with L(B, y) > L(A, y), if any, compared exactly.
+
+    Swapping an edge A for a heavier non-edge B strictly increases L at y,
+    which certifies that H is not extremal among graphs with e(H) edges.  y
+    holds Fraction/int entries and covers support(H).  Candidates B are
+    r-subsets of support(H) plus the smallest vertex label not already in
+    the support; y may assign that vertex positive weight (it just has no
+    edges yet), in which case swapping it in is a genuine improvement move.
+    Returns the extreme pair (lightest A, heaviest B) or None.  This is a
+    sound but incomplete non-maximality test: a hit certifies (H \\ A) + B
+    beats H at y, but single swaps need not exhaust all possible multi-edge
+    exchanges.
+    """
+    vals = list(_coerce(H, y))
+    if len(H) == 0:
+        return None
+    supp = set(H.support)
+    fresh = next(v for v in itertools.count(1) if v not in supp)
+    vals += [0] * (fresh - len(vals))
+    pool = tuple(sorted(supp | {fresh}))
+    a_val, a_best = min((math.prod(vals[v - 1] for v in e), e) for e in H.edges)
+    b_best = None
+    b_val = None
+    for b in itertools.combinations(pool, H.r):
+        if b in H:
+            continue
+        w = math.prod(vals[v - 1] for v in b)
+        if b_val is None or w > b_val:
+            b_best, b_val = b, w
+    if b_best is not None and b_val > a_val:
+        return a_best, b_best
+    return None

@@ -25,17 +25,19 @@ from .hypergraph import (
     is_left_compressed,
     kk_link_bounds,
     left_compress,
+    uncovered_pair_reduce,
 )
 from .lagrangian import (
     SolverConfig,
     check_pair_identity,
     check_scaling_bound,
+    clique_lagrangian,
     evaluate,
+    find_improving_swap,
     maximize,
     partials,
     symmetrize,
 )
-from .reductions import find_improving_swap, uncovered_pair_reduce
 from .verifier import enumerate_left_compressed
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "available_suites"]
@@ -82,7 +84,7 @@ def suite_maclaurin(seed: int, trials: int) -> SuiteResult:
         r = int(rng.integers(1, min(n, 5) + 1))
         y = _random_exact_simplex(rng, n)
         lhs = evaluate(clique(n, r), y)
-        rhs = Fraction(binom(n, r), n**r)
+        rhs = clique_lagrangian(n, r)
         if lhs > rhs:
             out._fail(f"e_{r} = {lhs} > bound {rhs} at n={n}, y={y}")
     return out

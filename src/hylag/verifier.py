@@ -22,7 +22,6 @@ counterexample is known to obey, and flags each bound pass/fail.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,7 +33,8 @@ from .hypergraph import (
     _binom_floor,
     _lower_covers,
     binom,
-    colex_key,
+    clique,
+    colex_rank,
     colex_segment,
 )
 from .lagrangian import (
@@ -218,9 +218,10 @@ def classify_regime(m: int, r: int) -> tuple[int, str]:
 
 
 def _colex_elements(r: int, Tmax: int):
-    elems = sorted(itertools.combinations(range(1, Tmax + 1), r), key=colex_key)
-    index = {e: i for i, e in enumerate(elems)}
-    covers = [tuple(index[b] for _, b in _lower_covers(e)) for e in elems]
+    # [Tmax]^{(r)} in colex order, and the positions of each set's lower
+    # covers: a set's position in that order is its colex rank
+    elems = clique(Tmax, r).edges
+    covers = [tuple(colex_rank(b) for _, b in _lower_covers(e)) for e in elems]
     return elems, covers
 
 

@@ -26,7 +26,7 @@ from hylag import (
     clique,
     colex_segment,
 )
-from hylag import hypergraph, lagrangian, reductions, suites, verifier
+from hylag import hypergraph, lagrangian, suites, verifier
 from hylag.cli import _lambda_exit_code, _verify_exit_code, build_parser, main
 
 
@@ -400,7 +400,7 @@ def test_env_defaults_checked_like_flags(monkeypatch, capsys, tmp_path, name, va
 
 
 def test_package_exports_every_module_name():
-    modules = (hypergraph, lagrangian, reductions, suites, verifier)
+    modules = (hypergraph, lagrangian, suites, verifier)
     owners: dict[str, list[str]] = {}
     for m in modules:
         for name in m.__all__:

@@ -382,6 +382,15 @@ def test_maximize_edgeless_degenerate():
     assert res.support_size == 0
 
 
+def test_maximize_r1_keeps_its_one_weight():
+    # every vertex of a 1-graph is a twin of vertex 1, so the core is {1}
+    # and its one run ties at L = 1 with a single weight, which it keeps:
+    # shedding never hands the face solve an empty row
+    res = maximize(Hypergraph(1, [(1,), (2,), (4,)]))
+    assert res.value_exact == 1
+    assert res.weighting.values == (1, 0, 0, 0)
+
+
 def test_maximize_weighting_descends():
     # a left-compressed graph has a descending maximizer, and maximize
     # reports that canonical form
@@ -548,13 +557,12 @@ def test_newton_rows_independent(H, weights, kinds, monkeypatch):
         zt, Lt, okt = lagrangian._newton_batch(E, n, r, Y[t:t + 1], S[t:t + 1])
         assert okt[0] == ok[t] and (not ok[t] or (np.array_equal(zt[0], z[t]) and Lt[0] == L[t]))
 
-    Z, L, found = lagrangian._newton_faces(E, n, r, Y)
-    assert found.all()
+    Z, L = lagrangian._newton_faces(E, n, r, Y)
     for t in range(len(Y)):
-        Zt, Lt, foundt = lagrangian._newton_faces(E, n, r, Y[t:t + 1])
-        assert foundt[0] and np.array_equal(Zt[0], Z[t]) and Lt[0] == L[t]
-    Zr, Lr, foundr = lagrangian._newton_faces(E, n, r, Y[::-1])
-    assert np.array_equal(Zr[::-1], Z) and np.array_equal(Lr[::-1], L) and foundr.all()
+        Zt, Lt = lagrangian._newton_faces(E, n, r, Y[t:t + 1])
+        assert np.array_equal(Zt[0], Z[t]) and Lt[0] == L[t]
+    Zr, Lr = lagrangian._newton_faces(E, n, r, Y[::-1])
+    assert np.array_equal(Zr[::-1], Z) and np.array_equal(Lr[::-1], L)
 
     # each off-support coordinate j gets the identity row and column e_j, so
     # it decouples from the row's face system; the last row marks S
@@ -625,8 +633,7 @@ def test_newton_doubles_step_at_singular_root(monkeypatch):
     _, _, ok = lagrangian._newton_batch(E, 5, 3, Y, Y > 0)
     assert ok.all()
     assert sum(solved) <= 100  # 152 row steps without the doubling
-    Z, _, found = lagrangian._newton_faces(E, 5, 3, Y)
-    assert found.all()
+    Z, _ = lagrangian._newton_faces(E, 5, 3, Y)
     assert np.abs(Z - [0.25, 0.25, 0.25, 0.25, 0.0]).max() <= 1e-8
 
 
@@ -819,6 +826,12 @@ def test_grid_oracle_examples():
     res = grid_oracle(Hypergraph(2, [(1, 4), (2, 3)]), 2)
     assert res.value_exact == Fraction(1, 4)
     assert res.weighting.values == (0, Fraction(1, 2), Fraction(1, 2), 0)
+    # a general H's ties go to fewer positive entries first, as for the
+    # partitions of a left-compressed H: (1,1,1,2,1)/6 walks first, but
+    # (1,1,2,2,0)/6 has the same value on four vertices
+    res = grid_oracle(_graph(3, "124 134 234 125 235 145"), 6)
+    assert res.value_exact == Fraction(5, 108)
+    assert res.weighting.values == (Fraction(1, 6), Fraction(1, 6), THIRD, THIRD, 0)
     # fine grids on a small left-compressed support: the walk is blocked
     res = grid_oracle(Hypergraph(2, [(1, 2)]), 10**5)
     assert res.value_exact == Fraction(1, 4)
