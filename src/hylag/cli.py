@@ -12,17 +12,15 @@ Exit codes: 0 success; 1 counterexample found (verify) or suite failure
 certified (KKT residual above --tol); 4 saturation warning (best witness
 uses the entire allowed support; re-run with more slack).
 
-HYLAG_SEED and HYLAG_JOBS set the default --seed and --jobs; they are
-checked like the flags, and a bad value exits 2.  Every other default is the
-library's (SolverConfig, VerifyConfig).  All output is deterministic for
-fixed arguments and seed.
+The command line alone sets a run: every default is the library's
+(SolverConfig, VerifyConfig).  All output is deterministic for fixed
+arguments and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .hypergraph import Hypergraph, colex_segment
@@ -53,32 +51,12 @@ def _positive(text: str) -> int:
     return value
 
 
-def _env_default(name: str, check, fallback: int) -> int:
-    # the environment's default for a flag, through the flag's own check:
-    # argparse runs `type` only on string defaults
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        return check(raw)
-    except ValueError:
-        problem = f"must be an integer, got {raw!r}"
-    except argparse.ArgumentTypeError as exc:
-        problem = str(exc)
-    print(f"hylag: {name} {problem}", file=sys.stderr)
-    raise SystemExit(2)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hylag",
         description="Hypergraph Lagrangians: compute, maximize, verify.",
-        epilog="Environment: HYLAG_SEED, HYLAG_JOBS set default --seed/--jobs "
-               "and are checked like them (exit 2).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _env_default("HYLAG_SEED", _nonneg, VerifyConfig.seed)
-    jobs_default = _env_default("HYLAG_JOBS", _positive, VerifyConfig.jobs)
 
     p = sub.add_parser("colex", help="write H^{m,r} as an edge list")
     p.add_argument("--m", type=_nonneg, required=True, help="number of edges")
@@ -90,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", type=_positive, default=SolverConfig.starts)
     p.add_argument("--tol", type=float, default=1e-7,
                    help="KKT residual above this exits 3 (uncertified)")
-    p.add_argument("--seed", type=_nonneg, default=seed_default)
+    p.add_argument("--seed", type=_nonneg, default=SolverConfig.seed)
     p.add_argument("--oracle-n", type=_positive, default=None,
                    help="also run the exact grid oracle with this denominator")
     p.add_argument("--output", default="-", help="path or - for stdout (default)")
@@ -104,14 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="edge count; repeatable")
     p.add_argument("--support-slack", type=_nonneg, default=VerifyConfig.support_slack)
     p.add_argument("--starts", type=_positive, default=VerifyConfig.starts)
-    p.add_argument("--seed", type=_nonneg, default=seed_default)
-    p.add_argument("--jobs", type=_positive, default=jobs_default)
+    p.add_argument("--seed", type=_nonneg, default=VerifyConfig.seed)
+    p.add_argument("--jobs", type=_positive, default=VerifyConfig.jobs)
     p.add_argument("--output", default="verify_report",
                    help="basename; writes <output>.json and <output>.csv")
 
     p = sub.add_parser("check", help="run a property suite")
     p.add_argument("--suite", required=True, choices=available_suites())
-    p.add_argument("--seed", type=_nonneg, default=seed_default)
+    p.add_argument("--seed", type=_nonneg, default=VerifyConfig.seed)
     p.add_argument("--trials", type=_positive, default=500)
     return parser
 

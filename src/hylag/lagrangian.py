@@ -556,30 +556,19 @@ def clique_lagrangian(t: int, r: int) -> Fraction:
 
 
 def max_clique_number(H: Hypergraph) -> int:
-    """Clique number of a 2-uniform H by branch and bound (support <= 12)."""
+    """Clique number of a 2-uniform H, over support subsets largest first
+    (support <= 12)."""
     if H.r != 2:
         raise ValueError("clique search is for 2-uniform hypergraphs")
     supp = H.support
     if len(supp) > 12:
         raise SizeError(f"clique search capped at 12 vertices, support has {len(supp)}")
-    adj = {v: set() for v in supp}
-    for a, b in H.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    order = sorted(supp, key=lambda v: (-len(adj[v]), v))
-    best = 1 if supp else 0
-
-    def expand(cand: list[int], size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(cand):
-            if size + len(cand) - i <= best:
-                return
-            expand([u for u in cand[i + 1 :] if u in adj[v]], size + 1)
-
-    expand(order, 0)
-    return best
+    return next(
+        (k for k in range(len(supp), 0, -1)
+         if any(all(e in H for e in itertools.combinations(S, 2))
+                for S in itertools.combinations(supp, k))),
+        0,
+    )
 
 
 def motzkin_straus_value(H: Hypergraph) -> Fraction:
@@ -734,19 +723,21 @@ def check_pair_identity(H: Hypergraph, y, i: int, j: int):
 
 
 def check_scaling_bound(H: Hypergraph, y, i: int) -> bool:
-    """Does L(H_i, y) <= (1 - y_i)^(r-1) lambda(H_i) + 1e-7 hold?
+    """Does L(H_i, y) <= (1 - y_i)^(r-1) lambda(H_i) hold, compared exactly?
 
     The link carries total weight at most 1 - y_i, and L is homogeneous of
-    degree r-1 on it.  lambda(H_i) is computed by maximize on the link.
+    degree r-1 on it.  lambda(H_i) is the certified value maximize finds on
+    the link.
     """
     if H.r < 2:
         raise ValueError("scaling bound needs uniformity >= 2")
     vals = _coerce(H, y)
+    _check_labels(vals, i)
     Hi = link(H, (i,))
     if len(Hi) == 0:
         return True
-    lam = maximize(Hi, SolverConfig(starts=12)).value
-    return evaluate(Hi, vals) <= (1 - vals[i - 1]) ** (H.r - 1) * lam + 1e-7
+    lam = maximize(Hi, SolverConfig(starts=12)).value_exact
+    return evaluate(Hi, vals) <= (1 - vals[i - 1]) ** (H.r - 1) * lam
 
 
 def find_improving_swap(H: Hypergraph, y):

@@ -22,6 +22,7 @@ counterexample is known to obey, and flags each bound pass/fail.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +36,6 @@ from .hypergraph import (
     binom,
     clique,
     colex_rank,
-    colex_segment,
 )
 from .lagrangian import (
     LagrangianResult,
@@ -232,7 +232,8 @@ def enumerate_left_compressed(m: int, r: int, Tmax: int) -> Iterator[Hypergraph]
     Edges are considered in colex order (a linear extension of domination),
     and an edge may join only once all its lower covers are in; each downset
     is therefore produced exactly once, as an increasing index sequence, in
-    lexicographic order of those sequences.  Empty stream when m > C(Tmax,r).
+    lexicographic order of those sequences.  The first, when there is one, is
+    0..m-1: the colex segment H^{m,r}.  Empty stream when m > C(Tmax,r).
     """
     if m < 1:
         raise ValueError("edge count m must be >= 1")
@@ -240,8 +241,6 @@ def enumerate_left_compressed(m: int, r: int, Tmax: int) -> Iterator[Hypergraph]
         raise ValueError(f"need Tmax >= r >= 1, got r={r}, Tmax={Tmax}")
     elems, covers = _colex_elements(r, Tmax)
     total = len(elems)
-    if m > total:
-        return
     chosen: list[int] = []
     in_set = bytearray(total)
 
@@ -263,24 +262,15 @@ def enumerate_left_compressed(m: int, r: int, Tmax: int) -> Iterator[Hypergraph]
 # -- candidate solving -------------------------------------------------------
 
 
-def _solve_args(args) -> LagrangianResult:
-    H, starts, seed = args
-    return maximize(H, SolverConfig(starts=starts, seed=seed))
-
-
 def _solve_all(
     candidates: Sequence[Hypergraph], cfg: VerifyConfig, pool: Executor | None
 ) -> list[LagrangianResult]:
     """Solve every candidate, in the caller's worker pool when it has one.
     Candidate i gets the seed (cfg.seed << 20) + i wherever it runs."""
-    argses = [
-        (H, cfg.starts, (cfg.seed << 20) + i)
-        for i, H in enumerate(candidates)
-    ]
-    if pool is not None and len(argses) > 1:
-        chunk = max(1, len(argses) // (cfg.jobs * 4))
-        return list(pool.map(_solve_args, argses, chunksize=chunk))
-    return [_solve_args(a) for a in argses]
+    cfgs = [SolverConfig(starts=cfg.starts, seed=(cfg.seed << 20) + i)
+            for i in range(len(candidates))]
+    mapper = map if pool is None else pool.map
+    return list(mapper(maximize, candidates, cfgs))
 
 
 # -- verification core -------------------------------------------------------
@@ -291,14 +281,12 @@ def _verify_with_cap(
 ) -> VerificationReport:
     if r < 2:
         raise ValueError("verification needs uniformity r >= 2 (r = 1 is degenerate)")
-    candidates: list[Hypergraph] = []
-    for H in enumerate_left_compressed(m, r, Tmax):
-        candidates.append(H)
-        if len(candidates) > MAX_CANDIDATES:
-            raise SizeError(
-                f"enumeration for (m={m}, r={r}, Tmax={Tmax}) exceeds "
-                f"{MAX_CANDIDATES} candidates; lower the support cap"
-            )
+    candidates = list(itertools.islice(enumerate_left_compressed(m, r, Tmax), MAX_CANDIDATES + 1))
+    if len(candidates) > MAX_CANDIDATES:
+        raise SizeError(
+            f"enumeration for (m={m}, r={r}, Tmax={Tmax}) exceeds "
+            f"{MAX_CANDIDATES} candidates; lower the support cap"
+        )
     if not candidates:
         raise SizeError(f"no candidates for (m={m}, r={r}, Tmax={Tmax}): C({Tmax},{r}) < {m}")
     results = _solve_all(candidates, cfg, pool)
@@ -306,8 +294,8 @@ def _verify_with_cap(
     t, regime = classify_regime(m, r)
     if regime == "R1":
         colex_exact = clique_lagrangian(t - 1, r)
-    else:  # in R2, H^{m,r} has support t <= Tmax and covers every pair: a candidate
-        colex_exact = results[candidates.index(colex_segment(m, r))].value_exact
+    else:  # H^{m,r} is the first candidate (see enumerate_left_compressed)
+        colex_exact = results[0].value_exact
 
     best_i = min(
         range(len(candidates)),

@@ -1,4 +1,4 @@
-"""Command-line behavior: formats, exit codes, environment defaults."""
+"""Command-line behavior: formats, exit codes, defaults."""
 
 import hashlib
 import json
@@ -27,7 +27,7 @@ from hylag import (
     colex_segment,
 )
 from hylag import hypergraph, lagrangian, suites, verifier
-from hylag.cli import _lambda_exit_code, _verify_exit_code, build_parser, main
+from hylag.cli import _lambda_exit_code, _verify_exit_code, main
 
 
 def run_main(capsys, *argv):
@@ -356,47 +356,15 @@ def test_check_unknown_suite(capsys):
 # -- environment and packaging -----------------------------------------------------
 
 
-def test_env_seed_default(monkeypatch):
-    monkeypatch.setenv("HYLAG_SEED", "31")
-    monkeypatch.setenv("HYLAG_JOBS", "2")
-    args = build_parser().parse_args(["lambda", "--input", "x"])
-    assert args.seed == 31
-    args = build_parser().parse_args(["verify", "--r", "3", "--m", "2"])
-    assert args.seed == 31 and args.jobs == 2
-
-
-def test_env_seed_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("HYLAG_SEED", "not-a-number")
-    with pytest.raises(SystemExit) as exc:
-        build_parser()
-    assert exc.value.code == 2
-    assert "HYLAG_SEED" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "name, value, argv",
-    [
-        ("HYLAG_SEED", "-5", ["lambda", "--starts", "1"]),
-        ("HYLAG_SEED", "x", ["lambda"]),
-        ("HYLAG_JOBS", "0", ["verify", "--r", "3", "--m", "2"]),
-    ],
-)
-def test_env_defaults_checked_like_flags(monkeypatch, capsys, tmp_path, name, value, argv):
-    # the environment's defaults go through the flags' checks and exit 2,
-    # naming the variable, before any solve or output
-    path = tmp_path / "h.txt"
-    path.write_text(colex_segment(3, 3).to_text())
-    if argv[0] == "lambda":
-        argv = argv + ["--input", str(path)]
-    else:
-        argv = argv + ["--output", str(tmp_path / "rep")]
-    monkeypatch.setenv(name, value)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"hylag: {name} ")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.txt"]
+def test_environment_sets_nothing(monkeypatch, capsys, tmp_path):
+    # the command line alone sets a run: no variable, valid or not, moves the
+    # defaults of --seed and --jobs
+    monkeypatch.setenv("HYLAG_SEED", "x")
+    monkeypatch.setenv("HYLAG_JOBS", "0")
+    code, _, _ = run_main(capsys, "verify", "--r", "3", "--m", "3", "--starts", "4",
+                          "--output", str(tmp_path / "rep"))
+    assert code == 0
+    assert json.loads((tmp_path / "rep.json").read_text())["reports"][0]["seed"] == 0
 
 
 def test_package_exports_every_module_name():

@@ -14,6 +14,7 @@ import pytest
 from hylag import (
     Hypergraph,
     ShiftPair,
+    SolverConfig,
     apply_shift,
     binom,
     clique,
@@ -28,6 +29,8 @@ from hylag import (
     left_compress,
     link,
     link_diff,
+    maximize,
+    uncovered_pair_reduce,
 )
 
 
@@ -345,7 +348,7 @@ def test_downset_equals_shift_fixpoint_exhaustive():
         assert (left_compress(H) == H) == by_downset
 
 
-# -- coverage and deletion --------------------------------------------------------
+# -- coverage, deletion and uncovered pairs ---------------------------------------
 
 
 def test_covers_pairs_examples():
@@ -366,6 +369,31 @@ def test_delete_vertex_examples():
     assert delete_vertex(Hypergraph(3, [(1, 2, 3), (1, 2, 4)]), 3) == Hypergraph(3, [(1, 2, 4)])
     H = Hypergraph(3, [(1, 2, 3), (1, 2, 4)])
     assert delete_vertex(H, 5) == H
+
+
+def test_uncovered_pair_reduce_branches():
+    H = Hypergraph(3, [(1, 2, 3), (1, 2, 4)])
+    parts = uncovered_pair_reduce(H)  # pair {3,4} is uncovered
+    assert parts == [Hypergraph(3, [(1, 2, 4)]), Hypergraph(3, [(1, 2, 3)])]
+
+
+def test_uncovered_pair_reduce_fixpoint_on_clique():
+    assert uncovered_pair_reduce(clique(4, 3)) == [clique(4, 3)]
+
+
+def test_reduction_respects_lagrangian_bound():
+    # lambda(H) <= max lambda over the parts, numerically
+    rng = random.Random(17)
+    cfg = SolverConfig(starts=10, seed=0)
+    for _ in range(12):
+        pool = list(itertools.combinations(range(1, 7), 3))
+        H = Hypergraph(3, rng.sample(pool, rng.randint(2, 9)))
+        parts = uncovered_pair_reduce(H)
+        if len(parts) == 1:
+            continue
+        lam = maximize(H, cfg).value
+        best = max(maximize(p, cfg).value for p in parts)
+        assert lam <= best + 1e-9
 
 
 # -- KK link bounds ---------------------------------------------------------------

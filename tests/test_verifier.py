@@ -112,6 +112,22 @@ def test_enumerate_pair_covering_filter():
     assert cov == [Hypergraph(3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])]
 
 
+def test_enumerate_yields_colex_segment_first():
+    # the verifier's R2 baseline is candidate 0: the index sequence 0..m-1 is
+    # H^{m,r}, a downset, and the least sequence, so it comes first at every
+    # cap that leaves a candidate; a cap below t leaves none
+    checked = 0
+    for r in range(2, 6):
+        for m in range(1, 40):
+            t = minimal_clique_order(m, r)
+            if t - 1 >= r:
+                assert next(enumerate_left_compressed(m, r, t - 1), None) is None
+            for Tmax in range(t, t + 3):
+                assert next(enumerate_left_compressed(m, r, Tmax)) == colex_segment(m, r)
+                checked += 1
+    assert checked == 468
+
+
 def test_enumerate_validation():
     with pytest.raises(ValueError):
         list(enumerate_left_compressed(0, 3, 5))
