@@ -29,11 +29,11 @@ print()
 print("Left compression pushes any hypergraph toward such segments.")
 H = Hypergraph(3, [(2, 3, 5), (1, 4, 5), (2, 4, 5)])
 show(H)
-print(f"  left-compressed? {is_left_compressed(H)[0]}")
+print(f"  left-compressed? {is_left_compressed(H)}")
 C = left_compress(H)
 print("after compressing to a fixpoint:")
 show(C)
-print(f"  left-compressed? {is_left_compressed(C)[0]}")
+print(f"  left-compressed? {is_left_compressed(C)}")
 print()
 print("Compression never lowers the Lagrangian, which is why the search")
 print("for extremal m-edge graphs only needs compressed candidates.")

@@ -51,6 +51,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan, which every comparison fails
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hylag",
@@ -66,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda", help="maximize the Lagrangian of an edge-list file")
     p.add_argument("--input", required=True, help="edge-list file")
     p.add_argument("--starts", type=_positive, default=SolverConfig.starts)
-    p.add_argument("--tol", type=float, default=1e-7,
+    p.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="KKT residual above this exits 3 (uncertified)")
     p.add_argument("--seed", type=_nonneg, default=SolverConfig.seed)
     p.add_argument("--oracle-n", type=_positive, default=None,

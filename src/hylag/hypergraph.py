@@ -8,32 +8,33 @@ tuple (a_r, ..., a_1).  The initial segment of m r-sets in this order is
 written H^{m,r} throughout.
 
 Also here: links and pair-difference links, left-compression (ij-shifts),
-the equivalent domination-downset test, pair coverage, vertex deletion, the
-uncovered-pair reduction, and the Kruskal-Katona-style bounds on link sizes
-of left-compressed graphs.
+the equivalent domination-downset test, the enumeration of left-compressed
+m-edge candidates on a bounded support (the search space of the verifier),
+pair coverage, vertex deletion, the uncovered-pair reduction, and the
+Kruskal-Katona-style bounds on link sizes of left-compressed graphs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 __all__ = [
     "Hypergraph",
-    "ShiftPair",
     "binom",
     "colex_key",
     "colex_rank",
     "colex_unrank",
     "colex_segment",
     "clique",
+    "minimal_clique_order",
     "link",
     "link_diff",
     "apply_shift",
     "left_compress",
     "is_left_compressed",
+    "enumerate_left_compressed",
     "covers_pairs",
     "delete_vertex",
     "uncovered_pair_reduce",
@@ -219,6 +220,13 @@ def clique(t: int, r: int) -> Hypergraph:
     return colex_segment(binom(t, r), r)
 
 
+def minimal_clique_order(m: int, r: int) -> int:
+    """Smallest t with m <= C(t, r)."""
+    if m < 1 or r < 1:
+        raise ValueError("need m >= 1 and r >= 1")
+    return _binom_floor(m - 1, r) + 1
+
+
 # -- links ---------------------------------------------------------------
 
 
@@ -257,22 +265,11 @@ def link_diff(H: Hypergraph, i: int, j: int) -> Hypergraph:
 # -- left-compression ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftPair:
-    """A compression direction: replace vertex j by vertex i < j."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not 0 < self.i < self.j:
-            raise ValueError(f"shift pair needs 0 < i < j, got ({self.i}, {self.j})")
-
-
 def apply_shift(H: Hypergraph, i: int, j: int) -> Hypergraph:
     """One simultaneous ij-shift: each edge with j but not i moves to
     (edge - j + i) unless that set is already an edge."""
-    ShiftPair(i, j)
+    if not 0 < i < j:
+        raise ValueError(f"shift pair needs 0 < i < j, got ({i}, {j})")
     out = []
     for e in H.edges:
         if j in e and i not in e:
@@ -303,29 +300,58 @@ def left_compress(H: Hypergraph) -> Hypergraph:
             return cur
 
 
-def _lower_covers(edge: tuple[int, ...]) -> Iterator[tuple[ShiftPair, tuple[int, ...]]]:
+def _lower_covers(edge: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # decrement one coordinate by 1 where that keeps the tuple strictly ascending
     for pos, v in enumerate(edge):
         if v - 1 >= 1 and (pos == 0 or edge[pos - 1] < v - 1):
-            yield ShiftPair(v - 1, v), edge[:pos] + (v - 1,) + edge[pos + 1 :]
+            yield edge[:pos] + (v - 1,) + edge[pos + 1 :]
 
 
-def is_left_compressed(
-    H: Hypergraph,
-) -> tuple[bool, tuple[ShiftPair, tuple[int, ...]] | None]:
+def is_left_compressed(H: Hypergraph) -> bool:
     """True iff left_compress(H) = H, i.e. the edge set is a downset in the
     coordinatewise domination order (a_i <= b_i for all i).
 
     Downward closure under single-coordinate decrements is equivalent to
-    closure under all ij-shifts, so only the covers are checked.  On failure
-    returns the first violation in (colex-edge, ascending-coordinate) scan
-    order as (ShiftPair(i, j), offending edge).
+    closure under all ij-shifts, so only the covers are checked.
     """
-    for e in H.edges:
-        for pair, below in _lower_covers(e):
-            if below not in H:
-                return False, (pair, e)
-    return True, None
+    return all(below in H for e in H.edges for below in _lower_covers(e))
+
+
+def enumerate_left_compressed(m: int, r: int, Tmax: int) -> Iterator[Hypergraph]:
+    """All m-edge downsets of the domination order on [Tmax]^{(r)}, i.e. all
+    fully left-compressed m-edge r-graphs with support in [Tmax].
+
+    Edges are considered in colex order (a linear extension of domination),
+    and an edge may join only once all its lower covers are in; each downset
+    is therefore produced exactly once, as an increasing index sequence, in
+    lexicographic order of those sequences.  The first, when there is one, is
+    0..m-1: the colex segment H^{m,r}.  Empty stream when m > C(Tmax,r).
+    """
+    if m < 1:
+        raise ValueError("edge count m must be >= 1")
+    if r < 1 or Tmax < r:
+        raise ValueError(f"need Tmax >= r >= 1, got r={r}, Tmax={Tmax}")
+    # a set's position in colex order is its colex rank, so each set's lower
+    # covers are indexed by their ranks
+    elems = clique(Tmax, r).edges
+    covers = [tuple(colex_rank(b) for b in _lower_covers(e)) for e in elems]
+    total = len(elems)
+    chosen: list[int] = []
+    in_set = bytearray(total)
+
+    def rec(start: int, need: int) -> Iterator[Hypergraph]:
+        if need == 0:
+            yield Hypergraph(r, (elems[i] for i in chosen))
+            return
+        for nxt in range(start, total - need + 1):
+            if all(in_set[c] for c in covers[nxt]):
+                chosen.append(nxt)
+                in_set[nxt] = 1
+                yield from rec(nxt + 1, need - 1)
+                chosen.pop()
+                in_set[nxt] = 0
+
+    yield from rec(0, m)
 
 
 # -- pair coverage & deletion --------------------------------------------
@@ -375,9 +401,8 @@ def kk_link_bounds(H: Hypergraph) -> tuple[bool, list[int]]:
     Both x and q are >= r (C(x, r) = e >= 1, and e(H_1) <= e), where the
     falling factorial C(., r) increases, so this holds iff C(q, r) <= e.
     """
-    ok, violation = is_left_compressed(H)
-    if not ok:
-        raise ValueError(f"kk_link_bounds needs a left-compressed hypergraph; {violation}")
+    if not is_left_compressed(H):
+        raise ValueError("kk_link_bounds needs a left-compressed hypergraph")
     e, r = len(H), H.r
     if e == 0:
         raise ValueError("kk_link_bounds needs at least one edge")

@@ -261,9 +261,8 @@ def _newton_batch(E, n, r, Z, S):
     # on a flat face the shortest one.  At a singular root (a weight going to
     # 0 whose link equals r * mu) Newton's steps halve each time, so a step
     # between 0.4 and 0.6 of the row's last one is doubled, Schroeder's step
-    # for a double root.  A row fails if an iterate leaves [-2, 2]^n, 50 steps
-    # do not settle, or the value ends below the start's (a far stationary
-    # point).  Returns (Z, L, ok)
+    # for a double root.  A row fails if 50 steps do not settle or the value
+    # ends below the start's (a far stationary point).  Returns (Z, L, ok)
     s = Z.shape[0]
     Z = Z.copy()
     L = np.zeros(s)
@@ -298,8 +297,6 @@ def _newton_batch(E, n, r, Z, S):
         last[live] = size
         Z[live] += d[:, :n]
         mu[live] += d[:, n]
-        inbox = np.abs(Z[live]).max(axis=1) <= 2.0
-        live, size = live[inbox], size[inbox]
         Lt, G = links(live)
         done = size < 1e-14
         L[live[done]] = Lt[done]
@@ -649,7 +646,7 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
         raise SizeError("grid products exceed exact int64 range")
     E, _ = _compile_edges(H)
     best_key, best_comp = None, None
-    for comp in _grid(N, k, is_left_compressed(H)[0]):
+    for comp in _grid(N, k, is_left_compressed(H)):
         vals = np.prod(comp[:, E], axis=2, dtype=np.int64).sum(axis=1)
         tied = np.flatnonzero(vals == vals.max())
         # ties go to fewer positive entries, then to the earlier row of the

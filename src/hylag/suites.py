@@ -22,6 +22,7 @@ from .hypergraph import (
     clique,
     colex_segment,
     covers_pairs,
+    enumerate_left_compressed,
     is_left_compressed,
     kk_link_bounds,
     left_compress,
@@ -38,7 +39,6 @@ from .lagrangian import (
     partials,
     symmetrize,
 )
-from .verifier import enumerate_left_compressed
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "available_suites"]
 
@@ -147,7 +147,7 @@ def suite_kkt(seed: int, trials: int) -> SuiteResult:
         if kkt.on_support > 1e-7 or kkt.off_support > 1e-7:
             out._fail(f"KKT residuals ({kkt.on_support}, {kkt.off_support}) for {H!r}")
             continue
-        if is_left_compressed(H)[0]:
+        if is_left_compressed(H):
             supp = res.weighting.support
             worst = max(
                 (check_pair_identity(H, res.weighting, i, j)

@@ -3,10 +3,11 @@ Lagrangian among m-edge r-graphs.
 
 The conjecture under test: lambda(H^{m,r}) = max{lambda(H) : e(H) = m}.
 Compression arguments reduce the search to left-compressed candidates
-(downsets in the domination order) with bounded support, which this module
-enumerates exactly once each.  Every candidate gets a multistart solve, and
-the counterexample flag is decided by exact rational comparison of the two
-sides' rational certificates.
+(downsets in the domination order) with bounded support, which
+hypergraph.enumerate_left_compressed lists exactly once each.  This module
+classifies each m into its regime, gives every candidate a multistart
+solve, and decides the counterexample flag by exact rational comparison of
+the two sides' rational certificates.
 
 The support cap Tmax is a heuristic (minimal clique order plus a slack); a
 report whose best witness uses all Tmax vertices is marked saturated as a
@@ -25,17 +26,15 @@ import contextlib
 import itertools
 import json
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .hypergraph import (
     Hypergraph,
-    _binom_floor,
-    _lower_covers,
     binom,
-    clique,
-    colex_rank,
+    enumerate_left_compressed,
+    minimal_clique_order,
 )
 from .lagrangian import (
     LagrangianResult,
@@ -52,8 +51,6 @@ __all__ = [
     "MonitorDiagnostics",
     "VerificationReport",
     "classify_regime",
-    "minimal_clique_order",
-    "enumerate_left_compressed",
     "verify_conjecture",
     "verify_many",
     "verify_range",
@@ -187,13 +184,6 @@ def _num(exact: Fraction) -> dict:
 # -- regimes and baselines ---------------------------------------------------
 
 
-def minimal_clique_order(m: int, r: int) -> int:
-    """Smallest t with m <= C(t, r)."""
-    if m < 1 or r < 1:
-        raise ValueError("need m >= 1 and r >= 1")
-    return _binom_floor(m - 1, r) + 1
-
-
 def _plateau_window(r: int, t: int) -> tuple[int, int]:
     """[C(t-1,r), C(t,r) - C(t-2,r-2)]: the m for which the colex value
     plateaus at lambda([t-1]^{(r)})."""
@@ -214,51 +204,6 @@ def classify_regime(m: int, r: int) -> tuple[int, str]:
     return t, "R2"
 
 
-# -- candidate enumeration ---------------------------------------------------
-
-
-def _colex_elements(r: int, Tmax: int):
-    # [Tmax]^{(r)} in colex order, and the positions of each set's lower
-    # covers: a set's position in that order is its colex rank
-    elems = clique(Tmax, r).edges
-    covers = [tuple(colex_rank(b) for _, b in _lower_covers(e)) for e in elems]
-    return elems, covers
-
-
-def enumerate_left_compressed(m: int, r: int, Tmax: int) -> Iterator[Hypergraph]:
-    """All m-edge downsets of the domination order on [Tmax]^{(r)}, i.e. all
-    fully left-compressed m-edge r-graphs with support in [Tmax].
-
-    Edges are considered in colex order (a linear extension of domination),
-    and an edge may join only once all its lower covers are in; each downset
-    is therefore produced exactly once, as an increasing index sequence, in
-    lexicographic order of those sequences.  The first, when there is one, is
-    0..m-1: the colex segment H^{m,r}.  Empty stream when m > C(Tmax,r).
-    """
-    if m < 1:
-        raise ValueError("edge count m must be >= 1")
-    if r < 1 or Tmax < r:
-        raise ValueError(f"need Tmax >= r >= 1, got r={r}, Tmax={Tmax}")
-    elems, covers = _colex_elements(r, Tmax)
-    total = len(elems)
-    chosen: list[int] = []
-    in_set = bytearray(total)
-
-    def rec(start: int, need: int) -> Iterator[Hypergraph]:
-        if need == 0:
-            yield Hypergraph(r, (elems[i] for i in chosen))
-            return
-        for nxt in range(start, total - need + 1):
-            if all(in_set[c] for c in covers[nxt]):
-                chosen.append(nxt)
-                in_set[nxt] = 1
-                yield from rec(nxt + 1, need - 1)
-                chosen.pop()
-                in_set[nxt] = 0
-
-    yield from rec(0, m)
-
-
 # -- candidate solving -------------------------------------------------------
 
 
@@ -277,8 +222,9 @@ def _solve_all(
 
 
 def _verify_with_cap(
-    m: int, r: int, Tmax: int, cfg: VerifyConfig, pool: Executor | None
+    m: int, r: int, cfg: VerifyConfig, pool: Executor | None
 ) -> VerificationReport:
+    Tmax = minimal_clique_order(m, r) + cfg.support_slack
     if r < 2:
         raise ValueError("verification needs uniformity r >= 2 (r = 1 is degenerate)")
     candidates = list(itertools.islice(enumerate_left_compressed(m, r, Tmax), MAX_CANDIDATES + 1))
@@ -287,8 +233,6 @@ def _verify_with_cap(
             f"enumeration for (m={m}, r={r}, Tmax={Tmax}) exceeds "
             f"{MAX_CANDIDATES} candidates; lower the support cap"
         )
-    if not candidates:
-        raise SizeError(f"no candidates for (m={m}, r={r}, Tmax={Tmax}): C({Tmax},{r}) < {m}")
     results = _solve_all(candidates, cfg, pool)
 
     t, regime = classify_regime(m, r)
@@ -328,25 +272,19 @@ def _verify_with_cap(
 
 
 def verify_many(
-    ms: Sequence[int], r: int, cfg: VerifyConfig | None = None, support_cap: int | None = None
+    ms: Sequence[int], r: int, cfg: VerifyConfig | None = None
 ) -> list[VerificationReport]:
     """One report per m, in the order given.
 
-    The support cap is support_cap when given, else each m's minimal clique
-    order plus cfg.support_slack.  At cfg.jobs > 1 one worker pool serves
-    every m and is shut down before this returns, also on error.
-    Deterministic given cfg.seed (also across jobs).
+    The support cap is each m's minimal clique order plus cfg.support_slack.
+    At cfg.jobs > 1 one worker pool serves every m and is shut down before
+    this returns, also on error.  Deterministic given cfg.seed (also across
+    jobs).
     """
     cfg = cfg or VerifyConfig()
     pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else contextlib.nullcontext()
-    reports = []
     with pool as ex:
-        for m in ms:
-            Tmax = support_cap
-            if Tmax is None:
-                Tmax = minimal_clique_order(m, r) + cfg.support_slack
-            reports.append(_verify_with_cap(m, r, Tmax, cfg, ex))
-    return reports
+        return [_verify_with_cap(m, r, cfg, ex) for m in ms]
 
 
 def verify_conjecture(m: int, r: int, cfg: VerifyConfig | None = None) -> VerificationReport:
@@ -370,8 +308,9 @@ def verify_range(r: int, t: int, cfg: VerifyConfig | None = None) -> list[Verifi
 def restricted_support_verify(
     m: int, r: int, t: int, cfg: VerifyConfig | None = None
 ) -> VerificationReport:
-    """verify_conjecture with candidates restricted to support in [t] (no
-    slack).  m must lie in the plateau window of [t-1]^{(r)}."""
+    """verify_conjecture with candidates restricted to support in [t]: the
+    slack becomes t - minimal_clique_order(m, r), 1 at m = C(t-1, r) and 0
+    elsewhere in the plateau window of [t-1]^{(r)}, where m must lie."""
     if t < r + 1:
         raise ValueError(f"need t >= r + 1, got r={r}, t={t}")
     lo, hi = _plateau_window(r, t)
@@ -379,7 +318,8 @@ def restricted_support_verify(
         raise ValueError(
             f"m={m} outside the restricted-support window [{lo}, {hi}] for (r={r}, t={t})"
         )
-    return verify_many([m], r, cfg, support_cap=t)[0]
+    cfg = replace(cfg or VerifyConfig(), support_slack=t - minimal_clique_order(m, r))
+    return verify_conjecture(m, r, cfg)
 
 
 # -- counterexample instrumentation ------------------------------------------
@@ -424,7 +364,7 @@ def counterexample_monitor(G: Hypergraph, result: LagrangianResult, t: int) -> M
     if T >= 2:
         # first q with C(q, r-1) > (t/(T-1)) C(t-1, r-1); C(q, r-1) is an
         # integer, so the floor of the right side decides
-        q = _binom_floor(t * binom(t - 1, r - 1) // (T - 1), r - 1) + 1
+        q = minimal_clique_order(t * binom(t - 1, r - 1) // (T - 1) + 1, r - 1)
         tail = sum(weights[q:], Fraction(0))
 
     flags = {name: "n/a" for name in ("T_bound", "x1_bound", "xT_bound", "xq_bound", "tail_bound")}

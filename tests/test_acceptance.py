@@ -167,7 +167,7 @@ def test_criterion_6_kkt_certification(
             kkt = kkt_residual(H, w)
         worst_on = max(worst_on, float(kkt.on_support))
         worst_off = max(worst_off, float(kkt.off_support))
-        if is_left_compressed(H)[0]:
+        if is_left_compressed(H):
             for i, j in itertools.combinations(w.support, 2):
                 worst_pair = max(worst_pair, check_pair_identity(H, w, i, j))
                 checked_pairs += 1

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, defaults."""
 
+import ast
 import hashlib
 import json
 import os
@@ -116,6 +117,16 @@ def test_lambda_uncertified_exit(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(stdout)["kkt_on_support"] > 0
+
+
+def test_lambda_rejects_nan_and_negative_tol(tmp_path, capsys):
+    # every comparison with nan fails, so --tol nan would certify anything
+    path = write_graph(tmp_path, colex_segment(9, 3))
+    for tol in ("nan", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["lambda", "--input", path, "--tol", tol])
+        assert exc.value.code == 2
+        assert f"--tol: must be a number >= 0, got {tol}" in capsys.readouterr().err
 
 
 def test_lambda_crawl_instance_certified(tmp_path, capsys):
@@ -380,6 +391,20 @@ def test_package_exports_every_module_name():
     for m in modules:
         for name in m.__all__:
             assert getattr(hylag, name) is getattr(m, name), (m.__name__, name)
+
+
+def test_modules_import_only_public_names():
+    # a private name is its module's own business: no hylag module imports
+    # a _-prefixed name from another
+    found = []
+    for path in sorted(Path(hylag.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "hylag"
+            ):
+                found += [(path.name, node.module, a.name) for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []
 
 
 def child_env():
