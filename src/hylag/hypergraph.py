@@ -16,6 +16,7 @@ Kruskal-Katona-style bounds on link sizes of left-compressed graphs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -362,8 +363,6 @@ def covers_pairs(H: Hypergraph) -> tuple[bool, list[tuple[int, int]]]:
 
     Returns (flag, sorted list of uncovered pairs).
     """
-    import itertools
-
     support = H.support
     covered: set[tuple[int, int]] = set()
     for e in H.edges:
