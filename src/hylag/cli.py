@@ -2,7 +2,7 @@
 
 Subcommands:
   colex   -- write the colex segment H^{m,r} as an edge-list file
-  lambda  -- maximize the Lagrangian of an edge-list file, print JSON
+  lambda  -- maximize an edge-list file's Lagrangian, print its certificate
   verify  -- run the conjecture verifier over m values or a plateau window,
              write <output>.json and <output>.csv
   check   -- run a named property suite

@@ -20,17 +20,18 @@ lower-labelled vertex's link leaves, with its edges.  That keeps lambda and
 the minimal support size, and turns the flat faces twins make into points;
 the winner, with zeros at the dropped vertices, is certified on H itself.
 
-Every function here that takes a weight vector is exact: its entries are
-Fraction/int, and floats raise ValueError.  Floats live only inside the
+Every function here that takes a weight vector passes one gate: its
+entries are Fraction/int (floats raise ValueError) and cover H's support,
+and any vertex labels it takes index them.  Floats live only inside the
 solver (the batched kernel, the replicator and Newton).  Its float rows
 become certificates in one place, _rationalize (continued fractions with
 bounded denominator, renormalized to sum 1), and the reported value is the
 exact evaluation at that rational point, so every result is a certified
 lower bound on lambda(H).
-The solver and the grid oracle build their results the same way: the exact
-weights in descending order unless the found order is strictly better, with
-the exact value and KKT residuals from that order's one pass.  The found
-order is scored only when it is not descending already.
+A result is that certificate alone, built in one place for the solver, the
+grid oracle and an edgeless H: the exact weights in descending order unless
+the found order is strictly better, with the exact value and KKT residuals
+from that order's one pass.
 """
 
 from __future__ import annotations
@@ -136,12 +137,17 @@ def _rationalize(y) -> list[Fraction]:
     return fr if total == 1 else [f / total for f in fr]
 
 
-def _coerce(H: Hypergraph, y) -> tuple:
+def _coerce(H: Hypergraph, y, *labels: int) -> tuple:
+    # the one gate of every function that takes a weight vector: y's exact
+    # entries, covering H's support, with each given vertex label indexing y
+    # from 1 (label 0 or below would wrap to the end)
     vals = _exact(y)
     if H.max_vertex() > len(vals):
         raise ValueError(
             f"weighting of length {len(vals)} cannot cover support up to {H.max_vertex()}"
         )
+    if not all(1 <= v <= len(vals) for v in labels):
+        raise ValueError(f"vertices {labels} are not labels 1..{len(vals)} of the weighting")
     return vals
 
 
@@ -361,15 +367,14 @@ class KKTResidual:
 
 @dataclass(frozen=True)
 class LagrangianResult:
-    """A certified lower bound on lambda(H): value_exact = L(H, weighting),
-    evaluated exactly at the rational weighting."""
+    """A certified lower bound on lambda(H), and nothing else: the rational
+    weighting, value_exact = L(H, weighting) evaluated exactly there, and
+    the KKT residuals there.  How it was found (solver or grid oracle, its
+    starts and seed) is the caller's to record."""
 
     value_exact: Fraction
     weighting: Weighting
     kkt_residual: KKTResidual
-    method: str  # multistart | oracle | degenerate
-    starts_used: int
-    seed: int | None = None
 
     @property
     def value(self) -> float:
@@ -387,9 +392,6 @@ class LagrangianResult:
             "support_size": self.support_size,
             "kkt_on_support": float12(self.kkt_residual.on_support),
             "kkt_off_support": float12(self.kkt_residual.off_support),
-            "method": self.method,
-            "starts_used": self.starts_used,
-            "seed": self.seed,
         }
 
 
@@ -405,8 +407,7 @@ class SolverConfig:
             raise ValueError("seed must be nonnegative")
 
 
-def _certified(H: Hypergraph, fr: Sequence[Fraction], method: str, starts: int,
-               seed: int | None) -> LagrangianResult:
+def _certified(H: Hypergraph, fr: Sequence[Fraction]) -> LagrangianResult:
     # the result for exact weights fr on the support of H, in support order:
     # canonical form takes the descending rearrangement unless fr's own order
     # is strictly better (never for left-compressed H), decided exactly
@@ -430,9 +431,6 @@ def _certified(H: Hypergraph, fr: Sequence[Fraction], method: str, starts: int,
         value_exact=Fraction(S, D**H.r),
         weighting=w,
         kkt_residual=_kkt(H.r, w.values, S, G, D),
-        method=method,
-        starts_used=starts,
-        seed=seed,
     )
 
 
@@ -496,7 +494,7 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
-        return _certified(H, (), "degenerate", 0, cfg.seed)
+        return _certified(H, ())
     E, supp = _compile_edges(_twin_free_core(H))
     k = len(supp)
     r = H.r
@@ -539,7 +537,7 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     # the rationalized sort of the floats
     win = dict(zip(supp, _rationalize(Y[min(_distinct(Y, tie_rows), key=rank)])))
     fr = [win.get(v, Fraction(0)) for v in H.support]
-    return _certified(H, fr, "multistart", cfg.starts, cfg.seed)
+    return _certified(H, fr)
 
 
 # -- closed forms and oracles ----------------------------------------------
@@ -633,7 +631,7 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     if N < 1:
         raise ValueError("grid denominator N must be >= 1")
     if len(H) == 0:
-        return _certified(H, (), "degenerate", 0, None)
+        return _certified(H, ())
     k = len(H.support)
     points = binom(N + k - 1, k - 1)
     if points > 10**8:
@@ -656,16 +654,10 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
         key = (int(vals[tied[i]]), -int(npos[i]))
         if best_key is None or key > best_key:
             best_key, best_comp = key, comp[tied[i]].copy()
-    return _certified(H, [Fraction(int(c), N) for c in best_comp], "oracle", 0, None)
+    return _certified(H, [Fraction(int(c), N) for c in best_comp])
 
 
 # -- certificates and identities -------------------------------------------
-
-
-def _check_labels(vals: Sequence, *vertices: int) -> None:
-    # vertex labels index y from 1: label 0 or below would wrap to the end
-    if min(vertices) < 1 or max(vertices) > len(vals):
-        raise ValueError(f"vertices {vertices} are not labels 1..{len(vals)} of the weighting")
 
 
 def symmetrize(H: Hypergraph, y, i: int, j: int) -> tuple:
@@ -674,8 +666,7 @@ def symmetrize(H: Hypergraph, y, i: int, j: int) -> tuple:
     Requires i <-> j to be an automorphism direction, i.e. link_diff empty
     both ways; then L(H, z) >= L(H, y).  z is a tuple of the exact weights.
     """
-    vals = list(_exact(y))
-    _check_labels(vals, i, j)
+    vals = list(_coerce(H, y, i, j))
     if len(link_diff(H, i, j)) or len(link_diff(H, j, i)):
         raise ValueError(f"vertices {i} and {j} are not exchangeable in H")
     vals[i - 1] = vals[j - 1] = Fraction(vals[i - 1] + vals[j - 1], 2)
@@ -707,8 +698,7 @@ def check_pair_identity(H: Hypergraph, y, i: int, j: int):
     """
     if not i < j:
         raise ValueError(f"need i < j, got ({i}, {j})")
-    vals = _coerce(H, y)
-    _check_labels(vals, i, j)
+    vals = _coerce(H, y, i, j)
     if H.r < 2:
         raise ValueError("pair identity needs uniformity >= 2")
     if H.r == 2:
@@ -728,8 +718,7 @@ def check_scaling_bound(H: Hypergraph, y, i: int) -> bool:
     """
     if H.r < 2:
         raise ValueError("scaling bound needs uniformity >= 2")
-    vals = _coerce(H, y)
-    _check_labels(vals, i)
+    vals = _coerce(H, y, i)
     Hi = link(H, (i,))
     if len(Hi) == 0:
         return True

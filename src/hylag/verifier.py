@@ -73,10 +73,10 @@ class VerifyConfig:
     candidate), seed, support_slack (vertices allowed past the minimal clique
     order) and jobs (worker processes).  Defaults match the reported
     desk-scale runs; seed and jobs never change the output, only the cost.
-    starts and seed are checked as SolverConfig checks them."""
+    starts and seed default to and are checked as SolverConfig's."""
 
-    starts: int = 50
-    seed: int = 0
+    starts: int = SolverConfig.starts
+    seed: int = SolverConfig.seed
     support_slack: int = 2
     jobs: int = 1
 

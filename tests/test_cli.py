@@ -105,7 +105,20 @@ def test_lambda_with_oracle(tmp_path, capsys):
     payload = json.loads(stdout)
     assert payload["value"] == "1/27"
     assert payload["oracle"]["value"] == "1/27"
-    assert payload["oracle"]["method"] == "oracle"
+    assert payload["oracle"]["support_size"] == 3
+
+
+def test_lambda_prints_only_certificates(tmp_path, capsys):
+    # the run's settings are on its command line: the output is the solver's
+    # certificate, with the grid oracle's under "oracle"
+    path = write_graph(tmp_path, colex_segment(5, 3))
+    code, stdout, _ = run_main(capsys, "lambda", "--input", path, "--oracle-n", "6")
+    assert code == 0
+    payload = json.loads(stdout)
+    cert = {"value", "value_float", "weighting", "support_size",
+            "kkt_on_support", "kkt_off_support"}
+    assert set(payload) == cert | {"oracle"}
+    assert set(payload["oracle"]) == cert
 
 
 def test_lambda_uncertified_exit(tmp_path, capsys):
@@ -146,13 +159,9 @@ H31_LAMBDA_STDOUT = """\
 {
   "kkt_off_support": 0.0,
   "kkt_on_support": 4.21768965417e-12,
-  "method": "multistart",
   "oracle": {
     "kkt_off_support": 0.0,
     "kkt_on_support": 0.0104166666667,
-    "method": "oracle",
-    "seed": null,
-    "starts_used": 0,
     "support_size": 7,
     "value": "3/32",
     "value_float": 0.09375,
@@ -168,8 +177,6 @@ H31_LAMBDA_STDOUT = """\
       ]
     }
   },
-  "seed": 1,
-  "starts_used": 50,
   "support_size": 7,
   "value": "16552596002189075324358720597942116811578062818359/176281659356515684663030814378195026070126817870739",
   "value_float": 0.0938985715395,
@@ -207,7 +214,7 @@ def test_lambda_oracle_t7_pinned_bytes(tmp_path, capsys):
         assert code == 0
         out.append(stdout)
     assert hashlib.sha256("".join(out).encode("utf-8")).hexdigest() == (
-        "b452345f5cb7595cf736b83ce1fc22c7b804e43d08bb4cbe8217be469b7ae193"
+        "d7636553e595b552f1abbb6baf20a1094e5e413b9188b8824869a7247a5176fc"
     )
 
 
@@ -230,7 +237,7 @@ def test_lambda_exit_code_unit():
         w = Weighting([Fraction(1)])
         return LagrangianResult(
             value_exact=Fraction(1), weighting=w,
-            kkt_residual=KKTResidual(on, off), method="synthetic", starts_used=1,
+            kkt_residual=KKTResidual(on, off),
         )
 
     assert _lambda_exit_code(fake(0.0, 0.0), 1e-7) == 0

@@ -355,7 +355,6 @@ def test_maximize_clique_4_3():
     assert res.value_exact == Fraction(1, 16)
     assert res.weighting.values == (Fraction(1, 4),) * 4
     assert res.support_size == 4
-    assert res.method == "multistart"
     assert res.kkt_residual.on_support <= 1e-7
     assert res.kkt_residual.off_support <= 1e-7
 
@@ -378,7 +377,6 @@ def test_maximize_star():
 def test_maximize_edgeless_degenerate():
     res = maximize(Hypergraph(3, []), SolverConfig(starts=4, seed=0))
     assert res.value == 0.0 and res.value_exact == 0
-    assert res.method == "degenerate"
     assert res.support_size == 0
 
 
@@ -444,14 +442,14 @@ def test_maximize_polishes_unsorted_winner(monkeypatch):
 def test_certified_scores_raw_order_only_when_unsorted(monkeypatch):
     calls = _count_passes(monkeypatch)
     desc = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
-    res = lagrangian._certified(clique(3, 2), desc, "oracle", 0, None)
+    res = lagrangian._certified(clique(3, 2), desc)
     assert len(calls) == 1 and res.value_exact == Fraction(5, 16)
     calls.clear()
     grid_oracle(colex_segment(8, 3), 12)  # left-compressed: descending grid points
     assert len(calls) == 1
     calls.clear()
     # a descending star loses to its raw order: vertex 1 is the centre
-    res = lagrangian._certified(STAR, [STAR_MAX[1], STAR_MAX[0], *STAR_MAX[2:]], "oracle", 0, None)
+    res = lagrangian._certified(STAR, [STAR_MAX[1], STAR_MAX[0], *STAR_MAX[2:]])
     assert len(calls) == 2
     assert res.weighting.values == STAR_MAX and res.value_exact == Fraction(4, 81)
     assert res.kkt_residual == KKTResidual(0.0, 0.0)
@@ -802,7 +800,9 @@ def test_result_json_dict():
     assert d["value"] == "1/27"
     assert d["value_float"] == 0.037037037037  # float12, not 0.037037037037037035
     assert d["support_size"] == 3
-    assert set(d) >= {"value", "value_float", "weighting", "kkt_on_support", "method"}
+    # the certificate only: how it was found is the caller's to record
+    assert set(d) == {"value", "value_float", "weighting", "support_size",
+                      "kkt_on_support", "kkt_off_support"}
 
 
 def test_solver_config_validation():
@@ -821,7 +821,6 @@ def test_grid_oracle_examples():
     res = grid_oracle(STAR, 9)
     assert res.value_exact == Fraction(4, 81)
     assert res.weighting.values == STAR_MAX
-    assert res.method == "oracle"
     # not left-compressed: no grid maximizer is non-increasing
     res = grid_oracle(Hypergraph(2, [(1, 4), (2, 3)]), 2)
     assert res.value_exact == Fraction(1, 4)
@@ -944,7 +943,7 @@ def test_grid_oracle_guards():
     # 12 units on the 18 vertices of one edge: no product can overflow (and
     # every one is 0), though 12**18 > 2**63
     assert grid_oracle(Hypergraph(18, [range(1, 19)]), 12).value_exact == 0
-    assert grid_oracle(Hypergraph(3, []), 5).method == "degenerate"
+    assert grid_oracle(Hypergraph(3, []), 5) == maximize(Hypergraph(3, []))
 
 
 # -- certificates ------------------------------------------------------------------
@@ -1027,6 +1026,14 @@ def test_weight_vectors_must_be_exact(fn, kind):
         _TAKES_WEIGHTS[fn](clique(4, 3), _FLOATY[kind])
     # the same call on exact weights goes through
     _TAKES_WEIGHTS[fn](clique(4, 3), [Fraction(1, 4)] * 4)
+
+
+@pytest.mark.parametrize("fn", sorted(_TAKES_WEIGHTS))
+def test_weight_vectors_must_cover_support(fn):
+    # every vertex label the call takes indexes y, but y leaves vertices 3
+    # and 4 of H without a weight
+    with pytest.raises(ValueError, match="cannot cover support up to 4"):
+        _TAKES_WEIGHTS[fn](clique(4, 3), [Fraction(1, 2)] * 2)
 
 
 def test_kkt_residual_examples():

@@ -76,6 +76,15 @@ def test_trial_and_failure_counts():
     }
 
 
+def test_uncovered_checks_every_trial(monkeypatch):
+    # every trial draws until its instance has an uncovered pair, so each
+    # one runs the reduction
+    calls = []
+    reduce = suites.uncovered_pair_reduce
+    monkeypatch.setattr(suites, "uncovered_pair_reduce", lambda H: calls.append(H) or reduce(H))
+    assert run_suite("uncovered", seed=1, trials=20).trials == len(calls) == 20
+
+
 # case -> (suite, trials, name broken in hylag.suites, breaker of the original
 # callable, prefixes of the suite's notes); `trials=0` leaves `kkt` its
 # fixtures and `swaps` its colex phase alone

@@ -373,8 +373,6 @@ def synthetic_result(weights, value):
         value_exact=value,
         weighting=Weighting(weights),
         kkt_residual=KKTResidual(0.0, 0.0),
-        method="synthetic",
-        starts_used=0,
     )
 
 
