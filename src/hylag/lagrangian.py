@@ -5,10 +5,11 @@ prod_{i in A} y_i.  The Lagrangian lambda(H) is the maximum of L over the
 standard simplex (y >= 0, sum y = 1).  This module evaluates L and its links
 L(H_i, y) exactly in one pass (the weights as integers over a common
 denominator), maximizes it by a multistart replicator burn-in (from the
-uniform point and seeded Dirichlet samples, at most BURN_IN steps) finished
-by Newton's method on each run's face (all runs stepped together, one
-stacked symmetric eigen-solve per step, the step doubled where it halves at
-a singular root), and certifies candidate maximizers three independent ways:
+uniform point and Dirichlet samples drawn from one generator per solve, at
+most BURN_IN steps) finished by Newton's method on each run's face (all
+runs stepped together, one stacked symmetric eigen-solve per step, the step
+doubled where it halves at a singular root), and certifies candidate
+maximizers three independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
   L(H_i, y) for i in S equals r * L(H, y), and off-support links cannot beat it;
@@ -46,7 +47,7 @@ import numpy as np
 
 from .hypergraph import Hypergraph, binom, is_left_compressed, link, link_diff
 
-BURN_IN = 200  # replicator steps at most before the Newton finish
+BURN_IN = 100  # replicator steps at most before the Newton finish
 VALUE_TOL = 1e-11  # burn-in: a row is done once a step gains less than this
 ZERO_TOL = 1e-9  # weights below this count as off the support
 DROP_TOL = 1e-15  # the value a support drop may lose to rounding
@@ -208,14 +209,16 @@ def _batch_value_partials(E: np.ndarray, IDX: np.ndarray, n: int, Y: np.ndarray)
     # (edge e's product without position j) follows IDX's (s, m, r) layout,
     # so the bincount adds each link value's terms in edge order
     s, (m, r) = Y.shape[0], E.shape
-    P = [Y[:, E[:, j]] for j in range(r)]
-    pref, suff = P[:1], P[-1:]  # pref[j] = P_0..P_j, suff[k] = P_{r-1-k}..P_{r-1}
+    P = Y[:, E.T]  # (s, r, m): one gather, P[:, j] is P_j
+    pref, suff = [P[:, 0]], [P[:, -1]]  # pref[j] = P_0..P_j, suff[k] = P_{r-1-k}..P_{r-1}
     for j in range(1, r):
-        pref.append(pref[-1] * P[j])
+        pref.append(pref[-1] * P[:, j])
     for j in range(r - 2, 0, -1):
-        suff.append(P[j] * suff[-1])
-    excl = np.ones((s, m, r))
-    if r > 1:
+        suff.append(P[:, j] * suff[-1])
+    if r == 1:
+        excl = np.ones((s, m, 1))
+    else:
+        excl = np.empty((s, m, r))
         excl[:, :, 0] = suff[-1]
         excl[:, :, -1] = pref[-2]
         for j in range(1, r - 1):
@@ -468,12 +471,15 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     Newton solve and shedding; on the core those faces are points.  A graph
     without twins is its own core.
 
-    Starts: uniform on the support, then seeded Dirichlet(1) samples.  A
-    batched replicator burn-in of at most BURN_IN steps brings each run near a
-    face; Newton's method then solves every distinct run's face system,
-    L(H_i, y) = r L(H, y) on the support and sum y = 1, dropping weights it
-    drives negative, or the smallest weight where Newton fails; a one-vertex
-    face always settles, so every distinct run ends at a point of a face.
+    Starts: uniform on the support, then Dirichlet(1) samples, all drawn at
+    once from one generator seeded with cfg.seed (rows of exponentials,
+    each normalized to sum 1), so the starts of a smaller cfg.starts are the
+    first rows of a larger one's.  A batched replicator burn-in of at most
+    BURN_IN steps brings each run near a face; Newton's method then solves
+    every distinct run's face system, L(H_i, y) = r L(H, y) on the support
+    and sum y = 1, dropping weights it drives negative, or the smallest
+    weight where Newton fails; a one-vertex face always settles, so every
+    distinct run ends at a point of a face.
     The runs step together: one kernel call and one stacked symmetric
     eigen-solve (the least-squares step) per Newton step, in blocks of runs
     so memory stays bounded; where a run's steps halve, as at a singular
@@ -501,9 +507,8 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
 
     Y0 = np.empty((cfg.starts, k))
     Y0[0] = 1.0 / k
-    for s_i in range(1, cfg.starts):
-        g = np.random.default_rng((cfg.seed, s_i)).exponential(1.0, k)
-        Y0[s_i] = g / g.sum()
+    g = np.random.default_rng(cfg.seed).exponential(1.0, (cfg.starts - 1, k))
+    Y0[1:] = g / g.sum(axis=1, keepdims=True)
 
     # finish each distinct burn-in run on its face
     Y = _replicator_batch(E, k, Y0, r)
@@ -528,14 +533,15 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     # weighting at the reported precision, compared exactly, then the
     # smallest support; maximizers with equal weights on other vertices tie
     # on the first two
+    fracs = {t: _rationalize(Y[t]) for t in _distinct(Y, tie_rows)}
+
     def rank(t):
         on = Y[t] > ZERO_TOL
-        neg = sorted(-v for v in _rationalize(Y[t]))
-        return on.sum(), neg, tuple(np.flatnonzero(on))
+        return on.sum(), sorted(-v for v in fracs[t]), tuple(np.flatnonzero(on))
 
     # rationalizing is monotone, so _certified's sort of the fractions is
     # the rationalized sort of the floats
-    win = dict(zip(supp, _rationalize(Y[min(_distinct(Y, tie_rows), key=rank)])))
+    win = dict(zip(supp, fracs[min(fracs, key=rank)]))
     fr = [win.get(v, Fraction(0)) for v in H.support]
     return _certified(H, fr)
 

@@ -72,8 +72,10 @@ class VerifyConfig:
     """Knobs for the verification pipeline: starts (multistart solves per
     candidate), seed, support_slack (vertices allowed past the minimal clique
     order) and jobs (worker processes).  Defaults match the reported
-    desk-scale runs; seed and jobs never change the output, only the cost.
-    starts and seed default to and are checked as SolverConfig's."""
+    desk-scale runs.  jobs never changes the output, only the cost; seed is
+    written into every report and selects every solve's starts, so reports
+    at two seeds may differ.  starts and seed default to and are checked
+    as SolverConfig's."""
 
     starts: int = SolverConfig.starts
     seed: int = SolverConfig.seed

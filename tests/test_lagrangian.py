@@ -770,6 +770,42 @@ def test_maximize_deterministic():
     assert a.weighting == b.weighting
 
 
+def test_maximize_starts(monkeypatch):
+    # the rows maximize hands the burn-in: the uniform point, then seeded
+    # points of the simplex, the same rows for the same seed whatever the
+    # number of starts
+    seen = []
+    burn_in = lagrangian._replicator_batch
+    monkeypatch.setattr(lagrangian, "_replicator_batch",
+                        lambda E, n, Y, r: seen.append(Y.copy()) or burn_in(E, n, Y, r))
+    H = _graph(3, "123 124 134 234 125 135 126")  # twin-free, on 6 vertices
+
+    def draw(starts, seed):
+        res = maximize(H, SolverConfig(starts=starts, seed=seed))
+        return seen[-1], res
+
+    Y, res = draw(50, 1)
+    assert Y.shape == (50, 6)
+    assert np.array_equal(Y[0], np.full(6, 1 / 6))
+    assert (Y >= 0).all() and np.abs(Y.sum(axis=1) - 1).max() < 1e-15
+    assert np.array_equal(draw(20, 1)[0], Y[:20])
+    assert (draw(50, 7)[0][1:] != Y[1:]).any(axis=1).all()
+    again, res2 = draw(50, 1)
+    assert np.array_equal(again, Y) and res2 == res
+
+
+def test_burn_in_cap_is_output_neutral(monkeypatch):
+    # rows the cap stops early are finished by Newton on the same faces:
+    # on the colex segments of the t=7 window (r=3) and of r=4 up to m=15,
+    # four of whose 26 burn-ins stop at BURN_IN = 100, four times the cap
+    # gives the same results
+    graphs = [colex_segment(m, 3) for m in range(21, 36)] + [colex_segment(m, 4) for m in range(5, 16)]
+    cfg = SolverConfig(seed=1)
+    want = [maximize(H, cfg).to_json_dict() for H in graphs]
+    monkeypatch.setattr(lagrangian, "BURN_IN", 4 * lagrangian.BURN_IN)
+    assert [maximize(H, cfg).to_json_dict() for H in graphs] == want
+
+
 def test_maximize_monotone_under_edge_addition():
     rng = random.Random(8)
     for _ in range(10):
