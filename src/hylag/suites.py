@@ -132,8 +132,9 @@ def suite_kkt(seed: int, trials: int) -> Iterator[list[str]]:
     extra = [H for m in range(4, 11) for H in enumerate_left_compressed(m, 3, 5)]
     for _ in range(trials):
         instances.append(extra[int(rng.integers(0, len(extra)))])
-    for k, H in enumerate(instances):
-        res = maximize(H, SolverConfig(starts=24, seed=seed + k))
+    cfg = SolverConfig(starts=24, seed=seed)
+    for H in instances:
+        res = maximize(H, cfg)
         kkt = res.kkt_residual
         notes = []
         if kkt.on_support > 1e-7 or kkt.off_support > 1e-7:

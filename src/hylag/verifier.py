@@ -5,9 +5,9 @@ The conjecture under test: lambda(H^{m,r}) = max{lambda(H) : e(H) = m}.
 Compression arguments reduce the search to left-compressed candidates
 (downsets in the domination order) with bounded support, which
 hypergraph.enumerate_left_compressed lists exactly once each.  This module
-classifies each m into its regime, gives every candidate a multistart
-solve, and decides the counterexample flag by exact rational comparison of
-the two sides' rational certificates.
+classifies each m into its regime, solves every candidate with the run's
+starts and seed, and decides the counterexample flag by exact rational
+comparison of the two sides' rational certificates.
 
 The support cap Tmax is a heuristic (minimal clique order plus a slack); a
 report whose best witness uses all Tmax vertices is marked saturated as a
@@ -62,8 +62,7 @@ __all__ = [
 
 CSV_HEADER = "m,t,regime,colex_value,best_value,gap,candidates,counterexample"
 
-# enumeration limit per m; below 2**20, so the candidate seeds
-# (seed << 20) + i of _solve_all stay distinct across seeds
+# enumeration limit per m
 MAX_CANDIDATES = 200_000
 
 
@@ -72,10 +71,10 @@ class VerifyConfig:
     """Knobs for the verification pipeline: starts (multistart solves per
     candidate), seed, support_slack (vertices allowed past the minimal clique
     order) and jobs (worker processes).  Defaults match the reported
-    desk-scale runs.  jobs never changes the output, only the cost; seed is
-    written into every report and selects every solve's starts, so reports
-    at two seeds may differ.  starts and seed default to and are checked
-    as SolverConfig's."""
+    desk-scale runs.  Every candidate is solved with SolverConfig(starts,
+    seed), so jobs never changes the output and `hylag lambda` with the
+    same starts and seed replays any witness.  seed is written into every
+    report.  starts and seed default to and are checked as SolverConfig's."""
 
     starts: int = SolverConfig.starts
     seed: int = SolverConfig.seed
@@ -206,20 +205,6 @@ def classify_regime(m: int, r: int) -> tuple[int, str]:
     return t, "R2"
 
 
-# -- candidate solving -------------------------------------------------------
-
-
-def _solve_all(
-    candidates: Sequence[Hypergraph], cfg: VerifyConfig, pool: Executor | None
-) -> list[LagrangianResult]:
-    """Solve every candidate, in the caller's worker pool when it has one.
-    Candidate i gets the seed (cfg.seed << 20) + i wherever it runs."""
-    cfgs = [SolverConfig(starts=cfg.starts, seed=(cfg.seed << 20) + i)
-            for i in range(len(candidates))]
-    mapper = map if pool is None else pool.map
-    return list(mapper(maximize, candidates, cfgs))
-
-
 # -- verification core -------------------------------------------------------
 
 
@@ -235,7 +220,9 @@ def _verify_with_cap(
             f"enumeration for (m={m}, r={r}, Tmax={Tmax}) exceeds "
             f"{MAX_CANDIDATES} candidates; lower the support cap"
         )
-    results = _solve_all(candidates, cfg, pool)
+    solver = SolverConfig(starts=cfg.starts, seed=cfg.seed)
+    mapper = map if pool is None else pool.map
+    results = list(mapper(maximize, candidates, itertools.repeat(solver)))
 
     t, regime = classify_regime(m, r)
     if regime == "R1":

@@ -320,6 +320,26 @@ def test_verify_counterexample_exit(tmp_path, capsys):
     assert entry["diagnostics"]["premise_holds"] is True
 
 
+@pytest.mark.parametrize("r, m, seed, verify_code", [(4, 11, 7, 1), (3, 8, 1, 0)])
+def test_verify_witness_replays_through_lambda(tmp_path, capsys, r, m, seed, verify_code):
+    # every candidate is solved with the run's --starts and --seed, so lambda
+    # with the same flags reproduces the report's witness: r=4, m=11 is the
+    # flagged counterexample, r=3, m=8 an irrational R2 maximizer
+    base = str(tmp_path / "rep")
+    code, _, _ = run_main(capsys, "verify", "--r", str(r), "--m", str(m),
+                          "--seed", str(seed), "--output", base)
+    assert code == verify_code
+    (entry,) = json.loads((tmp_path / "rep.json").read_text())["reports"]
+    witness = entry["witness"]
+    lines = [f"r={r}"] + [" ".join(map(str, e)) for e in witness["hypergraph"]["edges"]]
+    path = tmp_path / "witness.txt"
+    path.write_text("\n".join(lines) + "\n")
+    _, stdout, _ = run_main(capsys, "lambda", "--input", str(path), "--seed", str(seed))
+    payload = json.loads(stdout)
+    assert payload["value"] == entry["best_candidate_value"]["exact"]
+    assert payload["weighting"] == witness["weighting"]
+
+
 def test_verify_rejects_r1(capsys):
     code, _, stderr = run_main(capsys, "verify", "--r", "1", "--m", "3")
     assert code == 2

@@ -20,6 +20,7 @@ from hylag import (
     KKTResidual,
     LagrangianResult,
     SizeError,
+    SolverConfig,
     VerifyConfig,
     Weighting,
     binom,
@@ -276,9 +277,20 @@ def test_saturation_flag():
     assert not verify_conjecture(4, 3, FAST).saturated
 
 
+def test_every_candidate_solved_with_the_runs_solver_config(monkeypatch):
+    seen = []
+
+    def recorder(H, cfg=None):
+        seen.append(cfg)
+        return maximize(H, cfg)
+
+    monkeypatch.setattr(verifier, "maximize", recorder)
+    reports = verify_range(3, 5, VerifyConfig(starts=12, seed=3))
+    assert len(seen) == sum(rep.candidates_examined for rep in reports)
+    assert set(seen) == {SolverConfig(starts=12, seed=3)}
+
+
 def test_candidate_cap(monkeypatch):
-    # candidate i of a run at seed s solves at (s << 20) + i
-    assert verifier.MAX_CANDIDATES < 1 << 20
     monkeypatch.setattr(verifier, "MAX_CANDIDATES", 2)
     with pytest.raises(SizeError):
         verify_conjecture(6, 3, VerifyConfig(starts=4))
