@@ -49,7 +49,7 @@ from .hypergraph import Hypergraph, binom, is_left_compressed, link, link_diff
 
 BURN_IN = 100  # replicator steps at most before the Newton finish
 VALUE_TOL = 1e-11  # burn-in: a row is done once a step gains less than this
-ZERO_TOL = 1e-9  # weights below this count as off the support
+ZERO_TOL = 1e-9  # burn-in weights below this leave the support before Newton
 DROP_TOL = 1e-15  # the value a support drop may lose to rounding
 MAX_DENOMINATOR = 10**6  # continued-fraction bound of reported weights
 
@@ -485,17 +485,16 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     so memory stays bounded; where a run's steps halve, as at a singular
     root, the step is doubled.  Runs within 1e-10 of the best value
     drop their smallest weight while the value holds to rounding, so a flat
-    face yields a point of minimal support.  Among the distinct ones of those
-    runs the one with the fewest positive weights wins, then the
-    lexicographically largest descending weighting, compared exactly once the
-    row is rationalized as the winner is, then the lexicographically smallest
-    tuple of support vertices.  So of several maximizers with the same weights
-    on different vertices, the one reported does not depend on last-bit
-    rounding.  The winner is rationalized, put back on H's support with
-    zeros at the dropped twins, sorted descending unless its own order is
-    strictly better, and re-evaluated exactly on H, KKT residuals over every
-    vertex included (a dropped twin's link is its kept twin's); `value` is
-    the float of that exact certificate.
+    face yields a point of minimal support.  Of those runs the one with the
+    fewest positive weights wins, then the lexicographically smallest tuple
+    of support vertices: both are properties of a run's face, on which Newton
+    leaves it exactly zero elsewhere.  So of several maximizers found with
+    the same weights on different vertices, the one reported does not depend
+    on last-bit rounding.  Only the winner is rationalized, put back on H's
+    support with zeros at the dropped twins, sorted descending unless its own
+    order is strictly better, and re-evaluated exactly on H, KKT residuals
+    over every vertex included (a dropped twin's link is its kept twin's);
+    `value` is the float of that exact certificate.
     Deterministic given cfg.seed.
     """
     cfg = cfg or SolverConfig()
@@ -528,20 +527,13 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         Y[t[shed]], L[t[shed]] = Z[shed], LZ[shed]
         t = np.array(_distinct(Y, t[shed]), dtype=np.int64)
 
-    # of the distinct tie rows (a tie row may have met another while
-    # shedding): fewest weights above ZERO_TOL, then the largest descending
-    # weighting at the reported precision, compared exactly, then the
-    # smallest support; maximizers with equal weights on other vertices tie
-    # on the first two
-    fracs = {t: _rationalize(Y[t]) for t in _distinct(Y, tie_rows)}
-
+    # of the tie rows, each exactly zero off its face: fewest positive
+    # weights, then the smallest support; only the winner is rationalized
     def rank(t):
-        on = Y[t] > ZERO_TOL
-        return on.sum(), sorted(-v for v in fracs[t]), tuple(np.flatnonzero(on))
+        on = Y[t] > 0
+        return on.sum(), tuple(np.flatnonzero(on))
 
-    # rationalizing is monotone, so _certified's sort of the fractions is
-    # the rationalized sort of the floats
-    win = dict(zip(supp, fracs[min(fracs, key=rank)]))
+    win = dict(zip(supp, _rationalize(Y[min(tie_rows, key=rank)])))
     fr = [win.get(v, Fraction(0)) for v in H.support]
     return _certified(H, fr)
 
@@ -626,10 +618,12 @@ def grid_oracle(H: Hypergraph, N: int) -> LagrangianResult:
     swapping y_i < y_j changes L by (y_j - y_i)(L(H_{i\\j}) - L(H_{j\\i})) >= 0.
     Swaps stay on the grid, so some grid maximizer is non-increasing.  The
     support of a left-compressed H is {1..k}, so positions are vertex labels.
-    Of the grid maximizers walked, the one returned has the fewest positive
-    entries, then is lexicographically smallest, as maximize ranks its runs
-    by support size first.  One walk yields either set, in lexicographic
-    order and in blocks of 65,536 points, so memory does not grow with N.
+    Of the grid maximizers walked, the one with the fewest positive entries,
+    then lexicographically smallest, is kept, as maximize ranks its runs by
+    support size first, and reported descending unless its own order scores
+    strictly higher: {12, 23} at N = 2 keeps (0, 1/2, 1/2) but returns
+    (1/2, 1/2, 0).  One walk yields either set, in lexicographic order and
+    in blocks of 65,536 points, so memory does not grow with N.
 
     The 1e8-point guard counts the full grid C(N+k-1, k-1) either way, so the
     same calls raise SizeError whatever the shape of H.

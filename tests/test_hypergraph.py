@@ -195,6 +195,11 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Hypergraph(3, [(1, 2, 3)])
     assert {a: "x"}[b] == "x"
+    # a non-Hypergraph is left to the other operand, so an edge tuple never
+    # equals the hypergraph it lists
+    H = Hypergraph(2, [(1, 2)])
+    assert H.__eq__(((1, 2),)) is NotImplemented
+    assert H != ((1, 2),)
 
 
 def test_support_degree_max_vertex():
