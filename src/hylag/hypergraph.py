@@ -10,8 +10,9 @@ written H^{m,r} throughout.
 Also here: links and pair-difference links, left-compression (ij-shifts),
 the equivalent domination-downset test, the enumeration of left-compressed
 m-edge candidates on a bounded support (the search space of the verifier),
-pair coverage, vertex deletion, the uncovered-pair reduction, and the
-Kruskal-Katona-style bounds on link sizes of left-compressed graphs.
+pair coverage, vertex deletion, the uncovered-pair reduction, the twin-free
+core, and the Kruskal-Katona-style bounds on link sizes of left-compressed
+graphs.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "covers_pairs",
     "delete_vertex",
     "uncovered_pair_reduce",
+    "twin_free_core",
     "kk_link_bounds",
 ]
 
@@ -355,7 +357,7 @@ def enumerate_left_compressed(m: int, r: int, Tmax: int) -> Iterator[Hypergraph]
     yield from rec(0, m)
 
 
-# -- pair coverage & deletion --------------------------------------------
+# -- pair coverage, deletion & twins -------------------------------------
 
 
 def covers_pairs(H: Hypergraph) -> tuple[bool, list[tuple[int, int]]]:
@@ -385,6 +387,26 @@ def uncovered_pair_reduce(H: Hypergraph) -> list[Hypergraph]:
         return [H]
     i, j = uncovered[0]
     return [delete_vertex(H, i), delete_vertex(H, j)]
+
+
+def twin_free_core(H: Hypergraph) -> Hypergraph:
+    """H without each support vertex whose link (its set of (r-1)-sets)
+    equals a lower-labelled vertex's, and without the edges of those
+    vertices: the graph on the lowest label of each twin class.
+
+    Twins never share an edge: e in H with u, v in e would put e - v, which
+    contains u, in the link of v, which is the link of u, whose sets all
+    avoid u.  Equal links make twinship an equivalence, and replacing a
+    vertex of an edge by its twin gives an edge, so H is the blow-up of its
+    core.  A graph without twins is its own core (the same object).
+    """
+    links: dict[int, set] = {}
+    for e in H.edges:
+        for j, v in enumerate(e):
+            links.setdefault(v, set()).add(e[:j] + e[j + 1:])
+    first: dict[frozenset, int] = {}
+    twins = {v for v in sorted(links) if first.setdefault(frozenset(links[v]), v) != v}
+    return Hypergraph(H.r, (e for e in H.edges if twins.isdisjoint(e))) if twins else H
 
 
 # -- Kruskal-Katona-style link bounds ------------------------------------

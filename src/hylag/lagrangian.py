@@ -16,10 +16,11 @@ maximizers three independent ways:
 * exact closed forms (cliques, Motzkin-Straus for r=2);
 * an exact-rational grid oracle over weightings with entries k/N.
 
-The solver runs on H's twin-free core: each vertex whose link equals a
-lower-labelled vertex's link leaves, with its edges.  That keeps lambda and
-the minimal support size, and turns the flat faces twins make into points;
-the winner, with zeros at the dropped vertices, is certified on H itself.
+The solver runs on H's twin-free core (hypergraph.twin_free_core): each
+vertex whose link equals a lower-labelled vertex's link leaves, with its
+edges.  That keeps lambda and the minimal support size, and turns the flat
+faces twins make into points; the winner, with zeros at the dropped
+vertices, is certified on H itself.
 
 Every function here that takes a weight vector passes one gate: its
 entries are Fraction/int (floats raise ValueError) and cover H's support,
@@ -30,9 +31,9 @@ bounded denominator, renormalized to sum 1), and the reported value is the
 exact evaluation at that rational point, so every result is a certified
 lower bound on lambda(H).
 A result is that certificate alone, built in one place for the solver, the
-grid oracle and an edgeless H: the exact weights in descending order unless
-the found order is strictly better, with the exact value and KKT residuals
-from that order's one pass.
+grid oracle, certify and an edgeless H: the exact weights in descending
+order unless the found order is strictly better, with the exact value and
+KKT residuals from that order's one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +46,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, binom, is_left_compressed, link, link_diff
+from .hypergraph import (
+    Hypergraph,
+    binom,
+    is_left_compressed,
+    link,
+    link_diff,
+    twin_free_core,
+)
 
 BURN_IN = 100  # replicator steps at most before the Newton finish
 VALUE_TOL = 1e-11  # burn-in: a row is done once a step gains less than this
@@ -62,6 +70,7 @@ __all__ = [
     "evaluate",
     "partials",
     "maximize",
+    "certify",
     "clique_lagrangian",
     "max_clique_number",
     "motzkin_straus_value",
@@ -437,39 +446,21 @@ def _certified(H: Hypergraph, fr: Sequence[Fraction]) -> LagrangianResult:
     )
 
 
-def _twin_free_core(H: Hypergraph) -> Hypergraph:
-    # H without each support vertex whose link (its set of (r-1)-sets) equals
-    # a lower-labelled vertex's, and without the edges of those vertices
-    links: dict[int, set] = {}
-    for e in H.edges:
-        for j, v in enumerate(e):
-            links.setdefault(v, set()).add(e[:j] + e[j + 1:])
-    first: dict[frozenset, int] = {}
-    twins = {v for v in sorted(links) if first.setdefault(frozenset(links[v]), v) != v}
-    return Hypergraph(H.r, (e for e in H.edges if twins.isdisjoint(e))) if twins else H
-
-
 def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
     """Best local maximum of L(H, .) over the simplex across cfg.starts runs.
 
-    The runs solve H's twin-free core.  Call u < v twins when their links
-    (sets of (r-1)-sets) are equal.  Then no edge holds both: e in H with
-    u, v in e would put e - v, which contains u, in the link of v, which is
-    the link of u, whose sets all avoid u.  So
-    adjacent exchangeable vertices, such as those of a clique, are never
-    twins.  Equal links make twinship an equivalence, and replacing a
-    vertex of an edge by its twin gives an edge; so H is the blow-up of its
-    core C, the graph on the lowest label of each class with the edges of H
-    among those labels, and L(H, y) = L(C, z) where z_u is the total weight
-    of u's class.  Hence lambda(H) = lambda(C); a maximizer of C, padded
-    with zeros at the other labels, maximizes H; and merging a class never
-    grows a support, so minimal supports have the same size.  Of maximizers
-    that differ only in which member of a class carries the weight, the
-    lowest label is the one the rank below ends on (smallest support
-    tuple).  On a class of twins L is flat along each exchange, which would
-    leave every run at its own point of a flat face, each with its own
-    Newton solve and shedding; on the core those faces are points.  A graph
-    without twins is its own core.
+    The runs solve H's twin-free core C (hypergraph.twin_free_core).  H
+    is the blow-up of C, so L(H, y) = L(C, z) where z_u is the total
+    weight of u's twin class.  Hence lambda(H) = lambda(C); a maximizer of
+    C, padded with zeros at the other labels, maximizes H; and merging a
+    class never grows a support, so minimal supports have the same size.
+    Of maximizers that differ only in which member of a class carries the
+    weight, the lowest label is the one the rank below ends on (smallest
+    support tuple).  On a class of twins L is flat along each exchange,
+    which would leave every run at its own point of a flat face, each with
+    its own Newton solve and shedding; on the core those faces are points.
+    Adjacent exchangeable vertices, such as those of a clique, share an
+    edge and so are never twins.
 
     Starts: uniform on the support, then Dirichlet(1) samples, all drawn at
     once from one generator seeded with cfg.seed (rows of exponentials,
@@ -495,12 +486,17 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     order is strictly better, and re-evaluated exactly on H, KKT residuals
     over every vertex included (a dropped twin's link is its kept twin's);
     `value` is the float of that exact certificate.
-    Deterministic given cfg.seed.
+    Deterministic given cfg.seed.  All float work depends only on (C, r,
+    cfg), so graphs with one core get the same rationalized row.  So if G
+    and H are left-compressed (their certificates are always descending)
+    and share a core, maximize(H, cfg) is certify(H, w) with w the positive
+    weights of maximize(G, cfg) padded with zeros to H's labels: the
+    verifier solves each core once per run that way.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:
         return _certified(H, ())
-    E, supp = _compile_edges(_twin_free_core(H))
+    E, supp = _compile_edges(twin_free_core(H))
     k = len(supp)
     r = H.r
 
@@ -536,6 +532,17 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     win = dict(zip(supp, _rationalize(Y[min(tie_rows, key=rank)])))
     fr = [win.get(v, Fraction(0)) for v in H.support]
     return _certified(H, fr)
+
+
+def certify(H: Hypergraph, y) -> LagrangianResult:
+    """The certificate of the exact weights y on H, in the one form
+    maximize and grid_oracle report: y's entries at H's support vertices,
+    in descending order unless their own order scores strictly higher
+    (never for a left-compressed H), with the exact value and KKT residuals
+    there.  Those entries must sum to 1.  Whatever y is, the value is a
+    certified lower bound on lambda(H)."""
+    vals = _coerce(H, y)
+    return _certified(H, [vals[v - 1] for v in H.support])
 
 
 # -- closed forms and oracles ----------------------------------------------

@@ -7,7 +7,11 @@ Compression arguments reduce the search to left-compressed candidates
 hypergraph.enumerate_left_compressed lists exactly once each.  This module
 classifies each m into its regime, solves every candidate with the run's
 starts and seed, and decides the counterexample flag by exact rational
-comparison of the two sides' rational certificates.
+comparison of the two sides' rational certificates.  A run solves each
+distinct twin-free core once: a candidate whose core an earlier candidate
+of the run had (at a smaller m) is certified on itself from that solve's
+weights, which gives exactly the result maximize would, so `hylag lambda`
+with the run's starts and seed still replays any witness.
 
 The support cap Tmax is a heuristic (minimal clique order plus a slack); a
 report whose best witness uses all Tmax vertices is marked saturated as a
@@ -35,12 +39,14 @@ from .hypergraph import (
     binom,
     enumerate_left_compressed,
     minimal_clique_order,
+    twin_free_core,
 )
 from .lagrangian import (
     LagrangianResult,
     SizeError,
     SolverConfig,
     Weighting,
+    certify,
     clique_lagrangian,
     float12,
     maximize,
@@ -209,7 +215,7 @@ def classify_regime(m: int, r: int) -> tuple[int, str]:
 
 
 def _verify_with_cap(
-    m: int, r: int, cfg: VerifyConfig, pool: Executor | None
+    m: int, r: int, cfg: VerifyConfig, pool: Executor | None, solved: dict
 ) -> VerificationReport:
     Tmax = minimal_clique_order(m, r) + cfg.support_slack
     if r < 2:
@@ -220,9 +226,29 @@ def _verify_with_cap(
             f"enumeration for (m={m}, r={r}, Tmax={Tmax}) exceeds "
             f"{MAX_CANDIDATES} candidates; lower the support cap"
         )
+    # maximize solves the first candidate of each core not yet in solved
+    # (core edges -> the positive weights of its certificate); every other
+    # candidate is certified on itself from its core's weights
+    cores = [twin_free_core(H).edges for H in candidates]
+    first: dict = {}
+    for i, core in enumerate(cores):
+        if core not in solved:
+            first.setdefault(core, i)
     solver = SolverConfig(starts=cfg.starts, seed=cfg.seed)
     mapper = map if pool is None else pool.map
-    results = list(mapper(maximize, candidates, itertools.repeat(solver)))
+    todo = list(first.values())
+    solves = mapper(maximize, [candidates[i] for i in todo], itertools.repeat(solver))
+    fresh = dict(zip(todo, solves))
+    for core, i in first.items():
+        solved[core] = tuple(v for v in fresh[i].weighting if v > 0)
+
+    def result(i: int) -> LagrangianResult:
+        if i in fresh:
+            return fresh[i]
+        H, w = candidates[i], solved[cores[i]]
+        return certify(H, w + (0,) * (H.max_vertex() - len(w)))
+
+    results = [result(i) for i in range(len(candidates))]
 
     t, regime = classify_regime(m, r)
     if regime == "R1":
@@ -266,14 +292,24 @@ def verify_many(
     """One report per m, in the order given.
 
     The support cap is each m's minimal clique order plus cfg.support_slack.
+    Each m enumerates and solves its own candidates, but each distinct
+    twin-free core is solved once per call: maximize runs on the first
+    candidate of a core, and every later candidate with that core, at this
+    or a later m, is certified on itself (certify) from that result's
+    weights.  This is byte-identical to solving it: maximize's float work
+    depends only on the core, r and the SolverConfig, and a left-compressed
+    candidate's certificate is always descending.  So `hylag lambda` with
+    the run's starts and seed still replays any witness.  What is kept
+    across m is one weight tuple per core, dropped when this returns.
     At cfg.jobs > 1 one worker pool serves every m and is shut down before
     this returns, also on error.  Deterministic given cfg.seed (also across
     jobs).
     """
     cfg = cfg or VerifyConfig()
     pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else contextlib.nullcontext()
+    solved: dict = {}
     with pool as ex:
-        return [_verify_with_cap(m, r, cfg, ex) for m in ms]
+        return [_verify_with_cap(m, r, cfg, ex, solved) for m in ms]
 
 
 def verify_conjecture(m: int, r: int, cfg: VerifyConfig | None = None) -> VerificationReport:

@@ -15,6 +15,7 @@ from hylag import (
     SizeError,
     SolverConfig,
     Weighting,
+    certify,
     check_pair_identity,
     check_scaling_bound,
     clique,
@@ -33,6 +34,7 @@ from hylag import (
     motzkin_straus_value,
     partials,
     symmetrize,
+    twin_free_core,
 )
 from hylag import lagrangian
 from hylag.lagrangian import _grid
@@ -745,10 +747,76 @@ def test_maximize_solves_twin_free_core(monkeypatch):
 def test_twin_free_core_keeps_adjacent_exchangeable_vertices():
     # clique vertices are exchangeable but share edges, so none is a twin
     K = clique(5, 3)
-    assert lagrangian._twin_free_core(K) == K
+    assert twin_free_core(K) == K
     assert maximize(K).weighting.values == (Fraction(1, 5),) * 5
     # 4 and 5 of FLAT are twins, 6 is not: its link {12} is not theirs
-    assert lagrangian._twin_free_core(FLAT) == _graph(3, "123 124 134 126")
+    assert twin_free_core(FLAT) == _graph(3, "123 124 134 126")
+
+
+def _random_graphs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.randint(2, 4)
+        pool = list(itertools.combinations(range(1, 8), r))
+        yield rng, Hypergraph(r, rng.sample(pool, rng.randint(1, min(len(pool), 10))))
+
+
+def test_twin_free_core_of_a_blow_up_is_the_base_graph():
+    # twins above every label leave a twin-free base as it was
+    checked = 0
+    for rng, H in _random_graphs(21, 200):
+        if twin_free_core(H) != H:
+            continue
+        B = H
+        for _ in range(rng.randint(1, 3)):
+            B = _add_twin(B, rng.choice(H.support))
+        assert twin_free_core(B) == H, B
+        checked += 1
+    assert checked > 50
+
+
+def test_twin_free_core_is_idempotent():
+    for _, H in _random_graphs(22, 200):
+        C = twin_free_core(H)
+        assert twin_free_core(C) == C, H
+
+
+def test_twin_free_core_keeps_the_lowest_label_of_each_class():
+    # classes by equal links, computed with link(); the core is H on the
+    # lowest label of each class
+    for _, H in _random_graphs(23, 200):
+        classes: dict = {}
+        for v in H.support:
+            classes.setdefault(link(H, (v,)), []).append(v)
+        kept = {min(c) for c in classes.values()}
+        C = twin_free_core(H)
+        assert set(C.support) == kept, H
+        assert C.edges == tuple(e for e in H.edges if kept.issuperset(e)), H
+
+
+def test_certify_takes_the_descending_order_unless_its_own_is_better():
+    # left-compressed STAR: any order of its maximizer comes back descending
+    res = certify(STAR, STAR_MAX[::-1])
+    assert res.weighting.values == STAR_MAX
+    assert res.value_exact == evaluate(STAR, STAR_MAX)
+    assert res.kkt_residual == kkt_residual(STAR, STAR_MAX)
+    # a star at 3 scores 1/4 at (1/4, 1/4, 1/2) and 3/16 sorted descending
+    H = _graph(2, "13 23")
+    y = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    assert certify(H, y).weighting.values == y
+    assert certify(H, y).value_exact == Fraction(1, 4)
+    # entries past H's support are not part of the certificate
+    assert certify(STAR, STAR_MAX + (0, 0)).weighting.values == STAR_MAX
+    with pytest.raises(ValueError):
+        certify(STAR, (0.25,) * 4)
+    with pytest.raises(ValueError):
+        certify(STAR, STAR_MAX[:3])
+
+
+def test_certify_returns_a_solvers_result_unchanged():
+    for rng, H in _random_graphs(24, 60):
+        res = maximize(H, SolverConfig(starts=8, seed=rng.randrange(100)))
+        assert certify(H, res.weighting) == res, H
 
 
 def test_distinct_matches_greedy_loop():

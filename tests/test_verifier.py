@@ -277,7 +277,7 @@ def test_saturation_flag():
     assert not verify_conjecture(4, 3, FAST).saturated
 
 
-def test_every_candidate_solved_with_the_runs_solver_config(monkeypatch):
+def _count_solves(monkeypatch):
     seen = []
 
     def recorder(H, cfg=None):
@@ -285,9 +285,49 @@ def test_every_candidate_solved_with_the_runs_solver_config(monkeypatch):
         return maximize(H, cfg)
 
     monkeypatch.setattr(verifier, "maximize", recorder)
+    return seen
+
+
+def test_every_candidate_solved_with_the_runs_solver_config(monkeypatch):
+    # one solve per distinct twin-free core: 11 for the window's 19 candidates
+    seen = _count_solves(monkeypatch)
     reports = verify_range(3, 5, VerifyConfig(starts=12, seed=3))
-    assert len(seen) == sum(rep.candidates_examined for rep in reports)
+    assert sum(rep.candidates_examined for rep in reports) == 19
+    assert len(seen) == 11
     assert set(seen) == {SolverConfig(starts=12, seed=3)}
+
+
+def test_each_core_solved_once_per_call(monkeypatch):
+    # 17 of the r=4, t=6 window's 47 candidates share a core with a
+    # candidate at a smaller m; a second call solves them all again
+    seen = _count_solves(monkeypatch)
+    cfg = VerifyConfig(starts=12, seed=3)
+    reports = verify_range(4, 6, cfg)
+    assert sum(rep.candidates_examined for rep in reports) == 47
+    assert len(seen) == 30
+    verify_range(4, 6, cfg)
+    assert len(seen) == 60
+
+
+def test_reused_core_gives_the_solvers_result(monkeypatch):
+    # a candidate certified from its core's weights gets exactly the result
+    # maximize gives it: same weighting, value and KKT residuals
+    reused = []
+
+    def recorder(H, y):
+        res = lagrangian.certify(H, y)
+        reused.append((H, res))
+        return res
+
+    monkeypatch.setattr(verifier, "certify", recorder)
+    for r, t in ((3, 6), (4, 6)):
+        for seed in (1, 7):
+            reused.clear()
+            verify_range(r, t, VerifyConfig(seed=seed))
+            assert len(reused) == {3: 68, 4: 17}[r]
+            solver = SolverConfig(seed=seed)
+            for H, res in reused:
+                assert res == maximize(H, solver), (H, seed)
 
 
 def test_candidate_cap(monkeypatch):
@@ -565,6 +605,26 @@ def test_reports_pinned_bytes_r4():
     text = reports_json_text(verify_range(4, 6, VerifyConfig(seed=7)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "3bc329aa442e783b3914b8081f4064a442e0b11109101cebb33c70d24b091571"
+    )
+
+
+def test_reports_pinned_bytes_r4_two_workers():
+    # the r=4, t=6 window at seed 1, solved in a pool of two workers
+    text = reports_json_text(verify_range(4, 6, VerifyConfig(seed=1, jobs=2)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "a14e6852c57ea9186496d61533aa2184c44502d1777ee79022e814c40b12278f"
+    )
+
+
+def test_reports_pinned_bytes_criterion_4_set():
+    # acceptance criterion 4's instance set at seed 1, the verify-r3 bench
+    # workload: two windows, then m = 1..10 one call each
+    cfg = VerifyConfig(seed=1)
+    reports = verify_range(3, 4, cfg) + verify_range(3, 5, cfg)
+    reports += [verify_conjecture(m, 3, cfg) for m in range(1, 11)]
+    text = reports_json_text(reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "23bfc541b4e2e4fabea80d1176a231792f237ab27d7fcbadd1314226924f8d50"
     )
 
 
