@@ -46,6 +46,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# numpy loads numpy.random only on first use.  Loading it here means worker
+# processes forked by the verifier's pool (the fork start method, Linux's
+# default) inherit it and do not import it on their first solve.
+from numpy.random import default_rng
+
 from .hypergraph import (
     Hypergraph,
     binom,
@@ -502,7 +507,7 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
 
     Y0 = np.empty((cfg.starts, k))
     Y0[0] = 1.0 / k
-    g = np.random.default_rng(cfg.seed).exponential(1.0, (cfg.starts - 1, k))
+    g = default_rng(cfg.seed).exponential(1.0, (cfg.starts - 1, k))
     Y0[1:] = g / g.sum(axis=1, keepdims=True)
 
     # finish each distinct burn-in run on its face

@@ -11,7 +11,10 @@ comparison of the two sides' rational certificates.  A run solves each
 distinct twin-free core once: a candidate whose core an earlier candidate
 of the run had (at a smaller m) is certified on itself from that solve's
 weights, which gives exactly the result maximize would, so `hylag lambda`
-with the run's starts and seed still replays any witness.
+with the run's starts and seed still replays any witness.  The worker pool
+of a jobs > 1 run is fed one edge count ahead: m's solves are queued
+before m-1's report waits on its own, so workers do not idle between edge
+counts.  Reports still come out in order and byte-identical across jobs.
 
 The support cap Tmax is a heuristic (minimal clique order plus a slack); a
 report whose best witness uses all Tmax vertices is marked saturated as a
@@ -26,10 +29,9 @@ counterexample is known to obey, and flags each bound pass/fail.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -214,9 +216,31 @@ def classify_regime(m: int, r: int) -> tuple[int, str]:
 # -- verification core -------------------------------------------------------
 
 
-def _verify_with_cap(
-    m: int, r: int, cfg: VerifyConfig, pool: Executor | None, solved: dict
-) -> VerificationReport:
+class _Inline(Executor):
+    """The jobs=1 executor: submit runs the call at once and returns its
+    finished Future."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """One m's candidates, their twin-free cores' edges, and the Future of
+    each solve queued for it (candidate index -> Future)."""
+
+    m: int
+    support_cap: int
+    candidates: list
+    cores: list
+    fresh: dict
+
+
+def _submit(m: int, r: int, cfg: VerifyConfig, pool: Executor, solved: dict) -> _Batch:
+    """Enumerate m's candidates and queue maximize on the first candidate of
+    each core not yet in solved, which then maps that core to its Future."""
     Tmax = minimal_clique_order(m, r) + cfg.support_slack
     if r < 2:
         raise ValueError("verification needs uniformity r >= 2 (r = 1 is degenerate)")
@@ -226,25 +250,26 @@ def _verify_with_cap(
             f"enumeration for (m={m}, r={r}, Tmax={Tmax}) exceeds "
             f"{MAX_CANDIDATES} candidates; lower the support cap"
         )
-    # maximize solves the first candidate of each core not yet in solved
-    # (core edges -> the positive weights of its certificate); every other
-    # candidate is certified on itself from its core's weights
     cores = [twin_free_core(H).edges for H in candidates]
-    first: dict = {}
+    solver = SolverConfig(starts=cfg.starts, seed=cfg.seed)
+    fresh = {}
     for i, core in enumerate(cores):
         if core not in solved:
-            first.setdefault(core, i)
-    solver = SolverConfig(starts=cfg.starts, seed=cfg.seed)
-    mapper = map if pool is None else pool.map
-    todo = list(first.values())
-    solves = mapper(maximize, [candidates[i] for i in todo], itertools.repeat(solver))
-    fresh = dict(zip(todo, solves))
-    for core, i in first.items():
-        solved[core] = tuple(v for v in fresh[i].weighting if v > 0)
+            solved[core] = fresh[i] = pool.submit(maximize, candidates[i], solver)
+    return _Batch(m, Tmax, candidates, cores, fresh)
+
+
+def _report(batch: _Batch, r: int, cfg: VerifyConfig, solved: dict) -> VerificationReport:
+    """Wait for the batch's solves and build its report.  Each solved core's
+    entry in solved becomes its certificate's positive weights, from which
+    every other candidate with that core is certified on itself."""
+    m, candidates, cores = batch.m, batch.candidates, batch.cores
 
     def result(i: int) -> LagrangianResult:
-        if i in fresh:
-            return fresh[i]
+        if i in batch.fresh:
+            res = batch.fresh[i].result()
+            solved[cores[i]] = tuple(v for v in res.weighting if v > 0)
+            return res
         H, w = candidates[i], solved[cores[i]]
         return certify(H, w + (0,) * (H.max_vertex() - len(w)))
 
@@ -279,8 +304,8 @@ def _verify_with_cap(
         counterexample=counterexample,
         comparison="exact",
         candidates_examined=len(candidates),
-        support_cap=Tmax,
-        saturated=best_res.support_size >= Tmax,
+        support_cap=batch.support_cap,
+        saturated=best_res.support_size >= batch.support_cap,
         seed=cfg.seed,
         diagnostics=diagnostics,
     )
@@ -292,24 +317,41 @@ def verify_many(
     """One report per m, in the order given.
 
     The support cap is each m's minimal clique order plus cfg.support_slack.
-    Each m enumerates and solves its own candidates, but each distinct
-    twin-free core is solved once per call: maximize runs on the first
-    candidate of a core, and every later candidate with that core, at this
-    or a later m, is certified on itself (certify) from that result's
-    weights.  This is byte-identical to solving it: maximize's float work
-    depends only on the core, r and the SolverConfig, and a left-compressed
-    candidate's certificate is always descending.  So `hylag lambda` with
-    the run's starts and seed still replays any witness.  What is kept
-    across m is one weight tuple per core, dropped when this returns.
-    At cfg.jobs > 1 one worker pool serves every m and is shut down before
-    this returns, also on error.  Deterministic given cfg.seed (also across
-    jobs).
+    Each distinct twin-free core is solved once per call: maximize runs on
+    the first candidate of a core, and every later candidate with that core,
+    at this or a later m, is certified on itself (certify) from that
+    result's weights.  This is byte-identical to solving it: maximize's
+    float work depends only on the core, r and the SolverConfig, and a
+    left-compressed candidate's certificate is always descending.  So
+    `hylag lambda` with the run's starts and seed still replays any witness.
+
+    The solves are queued one m ahead: m's candidates are enumerated and
+    its solves submitted before m-1's report waits on its own, so at
+    cfg.jobs > 1 the worker pool stays busy across m.  Reports still come
+    out in order, byte-identical across jobs; at most two m's of candidates
+    are held at once, plus one weight tuple per core, dropped when this
+    returns.  At jobs=1 each solve runs as it is submitted.  The pool is
+    shut down before this returns; on error its queued solves are cancelled
+    first.  Deterministic given cfg.seed (also across jobs).
     """
     cfg = cfg or VerifyConfig()
-    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else contextlib.nullcontext()
+    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else _Inline()
     solved: dict = {}
-    with pool as ex:
-        return [_verify_with_cap(m, r, cfg, ex, solved) for m in ms]
+    reports = []
+    with pool:
+        try:
+            batch = None
+            for m in ms:
+                ahead = _submit(m, r, cfg, pool, solved)
+                if batch is not None:
+                    reports.append(_report(batch, r, cfg, solved))
+                batch = ahead
+            if batch is not None:
+                reports.append(_report(batch, r, cfg, solved))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    return reports
 
 
 def verify_conjecture(m: int, r: int, cfg: VerifyConfig | None = None) -> VerificationReport:

@@ -10,8 +10,12 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -400,6 +404,89 @@ def test_error_in_shared_pool_leaves_no_worker(monkeypatch):
         "enumeration for (m=7, r=3, Tmax=7) exceeds 6 candidates; lower the support cap"
     )
     assert multiprocessing.active_children() == []
+
+
+def test_error_cancels_queued_solves(monkeypatch):
+    # m = 13's 30 solves are queued when m = 14's 35 candidates exceed the
+    # cap; the error cancels every solve no worker has taken yet
+    queued = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            queued.append(super().submit(*args, **kwargs))
+            return queued[-1]
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verifier, "MAX_CANDIDATES", 30)
+    with pytest.raises(SizeError):
+        verifier.verify_many([13, 14], 3, VerifyConfig(starts=2000, jobs=2))
+    assert len(queued) == 30
+    assert all(f.done() for f in queued)
+    assert sum(f.cancelled() for f in queued) >= 20
+    assert multiprocessing.active_children() == []
+
+
+def test_reports_built_one_m_behind(monkeypatch):
+    # m's report waits until m + 1 is enumerated and its solves queued, and
+    # is built before m + 2 is enumerated: at most two m's are held at once
+    events = []
+
+    def enumerate_recorder(m, r, Tmax):
+        events.append(("enumerate", m))
+        return enumerate_left_compressed(m, r, Tmax)
+
+    report = verifier.VerificationReport
+
+    def report_recorder(**fields):
+        events.append(("report", fields["m"]))
+        return report(**fields)
+
+    monkeypatch.setattr(verifier, "enumerate_left_compressed", enumerate_recorder)
+    monkeypatch.setattr(verifier, "VerificationReport", report_recorder)
+    reports = verify_range(3, 5, VerifyConfig(starts=12))
+    assert [rep.m for rep in reports] == [4, 5, 6, 7]
+    assert events == [
+        ("enumerate", 4),
+        ("enumerate", 5),
+        ("report", 4),
+        ("enumerate", 6),
+        ("report", 5),
+        ("enumerate", 7),
+        ("report", 6),
+        ("report", 7),
+    ]
+
+
+WORKER_IMPORTS = """
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
+import hylag.verifier
+from hylag import colex_segment, maximize
+
+
+def first_solve_imports():
+    before = set(sys.modules)
+    maximize(colex_segment(7, 3))
+    return sorted(set(sys.modules) - before)
+
+
+with ProcessPoolExecutor(max_workers=1) as pool:
+    print(pool.submit(first_solve_imports).result())
+"""
+
+
+def test_fresh_worker_imports_nothing_on_first_solve():
+    # a worker forked from a process that imported only the verifier, from
+    # this checkout
+    src = str(Path(verifier.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WORKER_IMPORTS],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert proc.stdout == "[]\n", proc.stdout
 
 
 def test_r4_counterexample_report():
