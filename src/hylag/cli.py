@@ -20,6 +20,7 @@ arguments and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -103,6 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on main's first call rather than at import, then
+    # reused: parsing leaves a parser as it was
+    return build_parser()
+
+
 def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -180,7 +188,7 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "colex": cmd_colex,
         "lambda": cmd_lambda,

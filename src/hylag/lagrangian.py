@@ -8,7 +8,8 @@ denominator), maximizes it by a multistart replicator burn-in (from the
 uniform point and Dirichlet samples drawn from one generator per solve, at
 most BURN_IN steps) finished by Newton's method on each run's face (all
 runs stepped together, one stacked symmetric eigen-solve per step, the step
-doubled where it halves at a singular root), and certifies candidate
+doubled where it halves at a singular root, each run stopped once it
+meets an earlier run or leaves [-2, 2]^n), and certifies candidate
 maximizers three independent ways:
 
 * first-order (KKT) residuals -- at a maximizer with support S, every
@@ -64,6 +65,7 @@ BURN_IN = 100  # replicator steps at most before the Newton finish
 VALUE_TOL = 1e-11  # burn-in: a row is done once a step gains less than this
 ZERO_TOL = 1e-9  # burn-in weights below this leave the support before Newton
 DROP_TOL = 1e-15  # the value a support drop may lose to rounding
+MEET_TOL = 1e-6  # runs this close (max norm) are one run: _distinct, Newton's merge
 MAX_DENOMINATOR = 10**6  # continued-fraction bound of reported weights
 
 __all__ = [
@@ -284,12 +286,19 @@ def _newton_batch(E, n, r, Z, S):
     # on a flat face the shortest one.  At a singular root (a weight going to
     # 0 whose link equals r * mu) Newton's steps halve each time, so a step
     # between 0.4 and 0.6 of the row's last one is doubled, Schroeder's step
-    # for a double root.  A row fails if 50 steps do not settle or the value
-    # ends below the start's (a far stationary point).  Returns (Z, L, ok)
+    # for a double root.  A row stops once its outcome is decided: it fails
+    # as soon as an iterate leaves [-2, 2]^n (every weighting of a face lies
+    # in [0, 1]^n), and once it comes within MEET_TOL of an earlier row of
+    # its face that runs on its own, it ends where that row ends.  So the
+    # first row of each cluster keeps its own trajectory.  A row also fails
+    # if 50 steps do not settle it or its value ends below its own start's (a
+    # far stationary point).  Returns (Z, L, ok)
     s = Z.shape[0]
     Z = Z.copy()
     L = np.zeros(s)
-    ok = np.zeros(s, dtype=bool)
+    settled = np.zeros(s, dtype=bool)
+    rows = np.arange(s)
+    head = rows.copy()  # the earlier row each row met, or the row itself
     base = np.zeros((s, n + 1, n + 1))
     base[:, :n, :n] = np.eye(n) * ~S[:, :, None]
     base[:, :n, n] = base[:, n, :n] = -1.0 * S
@@ -320,23 +329,36 @@ def _newton_batch(E, n, r, Z, S):
         last[live] = size
         Z[live] += d[:, :n]
         mu[live] += d[:, n]
+        inbox = np.abs(Z[live]).max(axis=1) <= 2.0
+        live, size = live[inbox], size[inbox]
+        # a row still moving meets the first earlier row of its face that
+        # runs on its own and lies within MEET_TOL
+        moving = live[size >= 1e-14]
+        near = ((rows < moving[:, None]) & (head == rows) & (S[moving, None] == S).all(axis=2)
+                & (np.abs(Z[moving, None] - Z).max(axis=2) < MEET_TOL))
+        met = near.any(axis=1)
+        head[moving[met]] = near[met].argmax(axis=1)
+        own = head[live] == live
+        live, size = live[own], size[own]
         Lt, G = links(live)
         done = size < 1e-14
         L[live[done]] = Lt[done]
-        ok[live[done]] = Lt[done] >= start[live[done]] - DROP_TOL
+        settled[live[done]] = True
         live, G = live[~done], G[~done]
         if not len(live):
             break
-    return Z, L, ok
+    for t in np.flatnonzero(head != rows):  # ascending, so head[t] is final
+        Z[t], L[t], settled[t] = Z[head[t]], L[head[t]], settled[head[t]]
+    return Z, L, settled & (L >= start - DROP_TOL)
 
 
 def _newton_faces(E, n, r, Y, chunk=64):
     # solve the face system on each row's support S, each time from the row:
     # weights the solution drives negative leave S; when Newton fails, the
-    # smallest weight does.  No row of Y is empty, and a one-vertex face
-    # settles at once (its right-hand side is 0), so every row ends on its
-    # face.  Blocks of at most chunk rows retry their pending rows in rounds.
-    # Returns (Z, L), each row z > 0 exactly on its final S and L = L(H, z)
+    # smallest start weight does, however early it failed.  No row of Y is
+    # empty, and a one-vertex face settles at once (its right-hand side is
+    # 0), so every row ends on its face.  Blocks of at most chunk rows retry
+    # their pending rows in rounds.  Returns (Z, L), each row z > 0 exactly on its final S and L = L(H, z)
     s = Y.shape[0]
     Z = np.zeros_like(Y)
     L = np.zeros(s)
@@ -355,19 +377,19 @@ def _newton_faces(E, n, r, Y, chunk=64):
     return Z, L
 
 
-def _distinct(Y, rows) -> list[int]:
-    # the first of the given rows of Y within 1e-6 (max norm) of each other:
-    # in order, each row kept drops every row near it.  X holds one weight
-    # coordinate per row, so a distance row is a max over n long rows.
-    # Kept for cost: dropping any call leaves outputs alone but slows maximize
-    rows = np.fromiter(rows, dtype=np.int64)
-    X = Y[rows].T.copy()
-    left = np.ones(len(rows), dtype=bool)
+def _distinct(Y) -> list[int]:
+    # the first rows of Y within MEET_TOL (max norm) of each other: in order,
+    # each row kept drops every row near it.  X holds one weight coordinate
+    # per row, so a distance row is a max over n long rows.  Kept for cost:
+    # without it Newton would start every burn-in run, and its merge catches
+    # a repeated run only after a step
+    X = Y.T.copy()
+    left = np.ones(len(Y), dtype=bool)
     out: list[int] = []
     while left.any():
         a = int(left.argmax())
-        out.append(int(rows[a]))
-        left &= np.abs(X - X[:, a, None]).max(axis=0) >= 1e-6
+        out.append(a)
+        left &= np.abs(X - X[:, a, None]).max(axis=0) >= MEET_TOL
     return out
 
 
@@ -479,9 +501,13 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     The runs step together: one kernel call and one stacked symmetric
     eigen-solve (the least-squares step) per Newton step, in blocks of runs
     so memory stays bounded; where a run's steps halve, as at a singular
-    root, the step is doubled.  Runs within 1e-10 of the best value
-    drop their smallest weight while the value holds to rounding, so a flat
-    face yields a point of minimal support.  Of those runs the one with the
+    root, the step is doubled.  A run stops as soon as its outcome is
+    decided: one whose iterate leaves [-2, 2]^n fails at once, and one that
+    comes within MEET_TOL of an earlier run on its face ends where that run
+    ends, so the first run of each cluster keeps its own trajectory.  Runs
+    within 1e-10 of the best value drop their smallest weight while the
+    value holds to rounding, so a flat face yields a point of minimal
+    support.  Of those runs the one with the
     fewest positive weights wins, then the lexicographically smallest tuple
     of support vertices: both are properties of a run's face, on which Newton
     leaves it exactly zero elsewhere.  So of several maximizers found with
@@ -512,21 +538,19 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
 
     # finish each distinct burn-in run on its face
     Y = _replicator_batch(E, k, Y0, r)
-    Y = Y[_distinct(Y, range(cfg.starts))]
+    Y = Y[_distinct(Y)]
     Y, L = _newton_faces(E, k, r, np.where(Y > ZERO_TOL, Y, 0.0))
 
     # rows tied with the best shed their smallest weight, one a round, while
-    # the value holds to rounding and a weight is left; a row that meets
-    # another stops shedding
-    tie_rows = _distinct(Y, np.flatnonzero(L >= L.max() - 1e-10))
-    t = np.array(tie_rows)
+    # the value holds to rounding and a weight is left
+    t = tie_rows = np.flatnonzero(L >= L.max() - 1e-10)
     while len(t := t[(Y[t] > 0).sum(axis=1) > 1]):
         y = Y[t]
         y[np.arange(len(t)), np.where(y > 0, y, np.inf).argmin(axis=1)] = 0.0
         Z, LZ = _newton_faces(E, k, r, y)
         shed = LZ >= L[t] - DROP_TOL
         Y[t[shed]], L[t[shed]] = Z[shed], LZ[shed]
-        t = np.array(_distinct(Y, t[shed]), dtype=np.int64)
+        t = t[shed]
 
     # of the tie rows, each exactly zero off its face: fewest positive
     # weights, then the smallest support; only the winner is rationalized

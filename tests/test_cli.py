@@ -27,7 +27,7 @@ from hylag import (
     clique,
     colex_segment,
 )
-from hylag import hypergraph, lagrangian, suites, verifier
+from hylag import cli, hypergraph, lagrangian, suites, verifier
 from hylag.cli import _lambda_exit_code, _verify_exit_code, main
 
 
@@ -68,6 +68,24 @@ def test_colex_rejects_negative_m(tmp_path, capsys):
         main(["lambda", "--input", write_graph(tmp_path, clique(3, 3)), "--starts", "0"])
     assert exc.value.code == 2
     assert "--starts: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    # main reuses one parser across calls, and no call's arguments leak into
+    # the next: the second writes to stdout, the default, not to the first's file
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        out = tmp_path / "seg.txt"
+        assert run_main(capsys, "colex", "--m", "5", "--r", "3", "--output", str(out)) == (0, "", "")
+        code, stdout, _ = run_main(capsys, "colex", "--m", "3", "--r", "2")
+    finally:
+        cli._parser.cache_clear()
+    assert code == 0 and built == [1]
+    assert Hypergraph.from_text(out.read_text()) == colex_segment(5, 3)
+    assert Hypergraph.from_text(stdout) == colex_segment(3, 2)
 
 
 def test_missing_subcommand(capsys):

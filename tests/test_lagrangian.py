@@ -644,6 +644,49 @@ def test_newton_doubles_step_at_singular_root(monkeypatch):
     assert np.abs(Z - [0.25, 0.25, 0.25, 0.25, 0.0]).max() <= 1e-8
 
 
+def _face_steps(monkeypatch):
+    # the row count of each face step _newton_batch takes from here on
+    sizes = []
+    step = lagrangian._face_step
+    monkeypatch.setattr(lagrangian, "_face_step",
+                        lambda A, rhs: sizes.append(len(A)) or step(A, rhs))
+    return sizes
+
+
+def test_newton_row_meeting_an_earlier_row_takes_its_end(monkeypatch):
+    # two runs toward the singular K4 root of test_newton_doubles_step_at_singular_root
+    # meet mid-Newton: the first keeps its own trajectory bit for bit, the
+    # second stops there and ends exactly where the first ends
+    E, _ = lagrangian._compile_edges(_graph(3, "123 124 134 234 125 135 145"))
+    Y = np.array([[0.25, 0.25, 0.25, 0.25, 0.02], [0.253, 0.25, 0.25, 0.247, 0.005]])
+    Y /= Y.sum(axis=1, keepdims=True)
+    sizes = _face_steps(monkeypatch)
+    alone = []
+    for t in range(2):
+        sizes.clear()
+        alone.append((*lagrangian._newton_batch(E, 5, 3, Y[t:t + 1], Y[t:t + 1] > 0), len(sizes)))
+    sizes.clear()
+    z, L, ok = lagrangian._newton_batch(E, 5, 3, Y, Y > 0)
+    assert ok.all()
+    (z0, L0, _, steps0), (_, _, _, steps1) = alone
+    assert np.array_equal(z[0], z0[0]) and L[0] == L0[0]
+    assert np.array_equal(z[1], z[0]) and L[1] == L[0]
+    assert sum(sizes) - steps0 < steps1  # the second row's face steps: 3 against 15 alone
+
+
+def test_newton_row_leaving_the_box_fails_at_once(monkeypatch):
+    # H^{29,3}'s burn-in runs reach Newton on faces whose roots lie far
+    # outside the simplex; a row fails as soon as it leaves [-2, 2]^n rather
+    # than growing to |z| ~ 3,000 over 54 face steps
+    sizes, calls = _face_steps(monkeypatch), []  # calls: face steps before each finish
+    faces = lagrangian._newton_faces
+    monkeypatch.setattr(lagrangian, "_newton_faces",
+                        lambda *a, **kw: calls.append(len(sizes)) or faces(*a, **kw))
+    res = maximize(colex_segment(29, 3), SolverConfig(starts=50, seed=1))
+    assert res.value_exact == Fraction(5, 54)
+    assert calls[1] - calls[0] <= 10  # the first finish's face steps: 6 here
+
+
 # exact maximize outputs (seed 1, 50 starts) that a change to the Newton
 # numerics must not move: the crawl graphs, whose maximizers are singular
 # roots of the face system, FLAT, FAR, the graph of
@@ -733,15 +776,13 @@ def test_maximize_ignores_added_twin():
 def test_maximize_solves_twin_free_core(monkeypatch):
     # H^{30,3} (twins 6 and 7) and K4^{(3)} + {125, 135, 235} (twins 4 and
     # 5): on the core the maximizer is a point, not a segment every run
-    # lands on at its own place (102 Newton rows each without the core)
-    rows = []
-    faces = lagrangian._newton_faces
-    monkeypatch.setattr(lagrangian, "_newton_faces",
-                        lambda E, n, r, Y, **kw: rows.append(len(Y)) or faces(E, n, r, Y, **kw))
+    # lands on at its own place.  Newton's face matrices, summed over its
+    # steps: 6 and 2 here, over 300 each without the core
+    sizes = _face_steps(monkeypatch)
     for H in (colex_segment(30, 3), _graph(3, "123 124 134 234 125 135 235")):
-        rows.clear()
+        sizes.clear()
         maximize(H, SolverConfig(starts=50, seed=1))
-        assert sum(rows) <= 5, H
+        assert sum(sizes) <= 10, H
 
 
 def test_twin_free_core_keeps_adjacent_exchangeable_vertices():
@@ -833,8 +874,8 @@ def test_distinct_matches_greedy_loop():
         # noise of 1.5e-6 chains rows of one cluster, so a row near a dropped
         # row but far from every kept one must still be kept
         Y = rng.random((clusters, 6))[rng.integers(0, clusters, s)] + rng.random((s, 6)) * 1.5e-6
-        for rows in (range(s), rng.permutation(s), rng.permutation(s)[: s // 2]):
-            assert lagrangian._distinct(Y, rows) == loop(Y, list(rows))
+        for rows in (np.arange(s), rng.permutation(s), rng.permutation(s)[: s // 2]):
+            assert [rows[a] for a in lagrangian._distinct(Y[rows])] == loop(Y, list(rows))
 
 
 def test_maximize_deterministic():

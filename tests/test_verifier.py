@@ -44,6 +44,7 @@ from hylag import (
     reports_json_text,
     restricted_support_verify,
     verify_conjecture,
+    verify_many,
     verify_range,
 )
 from hylag import lagrangian, verifier
@@ -700,6 +701,16 @@ def test_reports_pinned_bytes_r4_two_workers():
     text = reports_json_text(verify_range(4, 6, VerifyConfig(seed=1, jobs=2)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "a14e6852c57ea9186496d61533aa2184c44502d1777ee79022e814c40b12278f"
+    )
+
+
+def test_reports_pinned_bytes_r5_tail():
+    # r=5, m=12..17 at seed 1 in a pool of two workers: the window where
+    # Newton rows leave [-2, 2]^n most often, so the early stops of rows that
+    # leave it or meet an earlier row must leave every report as it was
+    text = reports_json_text(verify_many(range(12, 18), 5, VerifyConfig(seed=1, jobs=2)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "0cdd00165f420afa971b08a176d9eb7faa0e83c96009eb12490f7d719cd69902"
     )
 
 
