@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
             status = "ok (saturated: raise --support-slack)"
         print(
             f"m={rep.m} r={rep.r} t={rep.t} {rep.regime} "
-            f"colex={rep.colex_value_float:.12g} best={rep.best_candidate_float:.12g} "
+            f"colex={float(rep.colex_value):.12g} best={float(rep.best_candidate_value):.12g} "
             f"candidates={rep.candidates_examined} {status}"
         )
     print(f"wrote {args.output}.json and {args.output}.csv")

@@ -34,7 +34,7 @@ import json
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .hypergraph import (
     Hypergraph,
@@ -133,7 +133,9 @@ class MonitorDiagnostics:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of checking one (m, r) instance against its colex baseline."""
+    """Outcome of checking one (m, r) instance against its colex baseline.
+    The fields store what the run measured; counterexample and saturated are
+    read from them."""
 
     m: int
     r: int
@@ -143,25 +145,19 @@ class VerificationReport:
     best_candidate_value: Fraction
     witness: Hypergraph
     witness_weighting: Weighting
-    counterexample: bool
-    comparison: str  # always "exact": both values are rational certificates
     candidates_examined: int
     support_cap: int
-    saturated: bool
     seed: int
     diagnostics: MonitorDiagnostics | None = None
+    comparison: ClassVar[str] = "exact"  # both values are rational certificates
 
     @property
-    def colex_value_float(self) -> float:
-        return float(self.colex_value)
+    def counterexample(self) -> bool:
+        return self.best_candidate_value > self.colex_value
 
     @property
-    def best_candidate_float(self) -> float:
-        return float(self.best_candidate_value)
-
-    @property
-    def gap(self) -> float:
-        return float(self.colex_value - self.best_candidate_value)
+    def saturated(self) -> bool:
+        return len(self.witness_weighting.support) >= self.support_cap
 
     def to_json_dict(self) -> dict:
         return {
@@ -286,13 +282,7 @@ def _report(batch: _Batch, r: int, cfg: VerifyConfig, solved: dict) -> Verificat
         key=lambda i: (-results[i].value_exact, candidates[i].edges),
     )
     best_res = results[best_i]
-    counterexample = best_res.value_exact > colex_exact
-
-    diagnostics = None
-    if counterexample:
-        diagnostics = counterexample_monitor(candidates[best_i], best_res, t)
-
-    return VerificationReport(
+    rep = VerificationReport(
         m=m,
         r=r,
         t=t,
@@ -301,14 +291,13 @@ def _report(batch: _Batch, r: int, cfg: VerifyConfig, solved: dict) -> Verificat
         best_candidate_value=best_res.value_exact,
         witness=candidates[best_i],
         witness_weighting=best_res.weighting,
-        counterexample=counterexample,
-        comparison="exact",
         candidates_examined=len(candidates),
         support_cap=batch.support_cap,
-        saturated=best_res.support_size >= batch.support_cap,
         seed=cfg.seed,
-        diagnostics=diagnostics,
     )
+    if rep.counterexample:
+        rep = replace(rep, diagnostics=counterexample_monitor(rep.witness, best_res, t))
+    return rep
 
 
 def verify_many(
@@ -473,8 +462,9 @@ def reports_csv_text(reports: Sequence[VerificationReport]) -> str:
     lines = [CSV_HEADER]
     for rep in reports:
         lines.append(
-            f"{rep.m},{rep.t},{rep.regime},{rep.colex_value_float:.12g},"
-            f"{rep.best_candidate_float:.12g},{rep.gap:.12g},"
+            f"{rep.m},{rep.t},{rep.regime},{float(rep.colex_value):.12g},"
+            f"{float(rep.best_candidate_value):.12g},"
+            f"{float(rep.colex_value - rep.best_candidate_value):.12g},"
             f"{rep.candidates_examined},{str(rep.counterexample).lower()}"
         )
     return "\n".join(lines) + "\n"

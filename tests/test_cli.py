@@ -316,7 +316,9 @@ def test_verify_saturation_exit(tmp_path, capsys):
         "--support-slack", "0", "--output", base,
     )
     assert code == 4
-    assert "saturated: raise --support-slack" in stdout
+    assert stdout.splitlines()[:-1] == [
+        "m=4 r=3 t=4 R2 colex=0.0625 best=0.0625 candidates=1 ok (saturated: raise --support-slack)",
+    ]
 
 
 def test_verify_window_flag(tmp_path, capsys):
@@ -330,12 +332,17 @@ def test_verify_window_flag(tmp_path, capsys):
 
 def test_verify_counterexample_exit(tmp_path, capsys):
     base = str(tmp_path / "cx")
-    code, stdout, _ = run_main(capsys, "verify", "--r", "4", "--m", "11", "--output", base)
+    code, stdout, _ = run_main(capsys, "verify", "--r", "4", "--m", "10", "--m", "11",
+                               "--seed", "1", "--output", base)
     assert code == 1
-    assert stdout.splitlines()[0].endswith(" COUNTEREXAMPLE")
-    (entry,) = json.loads((tmp_path / "cx.json").read_text())["reports"]
-    assert entry["counterexample"] is True
-    assert entry["diagnostics"]["premise_holds"] is True
+    assert stdout.splitlines()[:-1] == [
+        "m=10 r=4 t=6 R2 colex=0.00845566475981 best=0.00845566475981 candidates=21 ok",
+        "m=11 r=4 t=6 R2 colex=0.0089930580682 best=0.00901892638059 candidates=26 COUNTEREXAMPLE",
+    ]
+    ok, flagged = json.loads((tmp_path / "cx.json").read_text())["reports"]
+    assert (ok["counterexample"], ok["diagnostics"]) == (False, None)
+    assert flagged["counterexample"] is True
+    assert flagged["diagnostics"]["premise_holds"] is True
 
 
 @pytest.mark.parametrize("r, m, seed, verify_code", [(4, 11, 7, 1), (3, 8, 1, 0)])

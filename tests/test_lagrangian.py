@@ -738,15 +738,19 @@ def test_maximize_block_size(monkeypatch):
     # the Newton finish walks its rows in blocks; the block size cannot
     # change a result.  The graph 13 14 16 26 has a flat face that no
     # twins make (y_1 = 1/2, y_3 + y_6 = 1/2; 6 also meets 2), so its runs
-    # reach Newton as more rows than the default block of 64 holds
+    # reach Newton as more rows than the default block of 64 holds, yet no
+    # _newton_batch call, whose memory grows with its rows, takes more
     graphs = [FAR, FLAT, STAR, colex_segment(30, 3), _graph(2, "13 14 16 26")]
     cfg = SolverConfig(starts=100, seed=1)
-    faces = lagrangian._newton_faces
-    sizes = []
+    faces, batch = lagrangian._newton_faces, lagrangian._newton_batch
+    sizes, batch_rows = [], []
     monkeypatch.setattr(lagrangian, "_newton_faces",
                         lambda E, n, r, Y, **kw: sizes.append(len(Y)) or faces(E, n, r, Y, **kw))
+    monkeypatch.setattr(lagrangian, "_newton_batch",
+                        lambda E, n, r, Z, S: batch_rows.append(len(Z)) or batch(E, n, r, Z, S))
     want = [maximize(H, cfg) for H in graphs]
     assert max(sizes) > 64
+    assert max(batch_rows) <= 64
     for chunk in (1, 7):
         monkeypatch.setattr(lagrangian, "_newton_faces", functools.partial(faces, chunk=chunk))
         assert [maximize(H, cfg) for H in graphs] == want, chunk

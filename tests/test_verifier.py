@@ -197,7 +197,7 @@ def test_verify_two_edges():
     assert not rep.counterexample
     assert rep.candidates_examined == 1
     assert rep.diagnostics is None
-    assert rep.gap == 0.0
+    assert rep.colex_value == rep.best_candidate_value
 
 
 def test_verify_four_edges():
@@ -249,7 +249,7 @@ def test_regime_one_baseline_is_clique_value():
         assert rep.regime == "R1" and rep.t == t
         assert rep.colex_value == clique_lagrangian(t - 1, 3)
         solved = maximize(colex_segment(m, 3))
-        assert abs(solved.value - rep.colex_value_float) <= 1e-7
+        assert abs(solved.value - float(rep.colex_value)) <= 1e-7
 
 
 def test_restricted_support():
@@ -278,6 +278,12 @@ def test_saturation_flag():
     rep = verify_conjecture(4, 3, VerifyConfig(starts=12, seed=0, support_slack=0))
     assert rep.support_cap == 4
     assert rep.saturated
+    assert hashlib.sha256(reports_csv_text([rep]).encode("utf-8")).hexdigest() == (
+        "89b722a3581af727c1fa67df0a0d52f54558ba039979f2ffb4acf4d63a36392b"
+    )
+    assert hashlib.sha256(reports_json_text([rep]).encode("utf-8")).hexdigest() == (
+        "4401c294f0cf813ba9a878c61fa8c83a96b1c539e12094a0ee69cb22a62c179d"
+    )
     # the default slack leaves headroom
     assert not verify_conjecture(4, 3, FAST).saturated
 
@@ -621,18 +627,30 @@ def test_monitor_validation():
 
 def test_gap_is_the_rounded_exact_gap():
     # colex and best values 1e-15 apart: the difference of their floats
-    # would render as 9.99200722163e-16
+    # would render as 9.99200722163e-16.  A report is built from what the
+    # run measured alone; its verdicts are read from those values
     best = Fraction(1, 16) - Fraction(1, 10**15)
-    rep = verifier.VerificationReport(
+    measured = dict(
         m=4, r=3, t=4, regime="R2", colex_value=Fraction(1, 16), best_candidate_value=best,
         witness=clique(4, 3), witness_weighting=Weighting([Fraction(1, 4)] * 4),
-        counterexample=False, comparison="exact", candidates_examined=1, support_cap=6,
-        saturated=False, seed=0,
+        candidates_examined=1, support_cap=6, seed=0,
     )
-    assert rep.gap == 1e-15
+    rep = verifier.VerificationReport(**measured)
+    assert float(rep.colex_value - rep.best_candidate_value) == 1e-15
+    assert (rep.counterexample, rep.saturated, rep.comparison) == (False, False, "exact")
     (entry,) = json.loads(reports_json_text([rep]))["reports"]
     assert entry["gap"] == {"exact": "1/1000000000000000", "float": 1e-15}
     assert reports_csv_text([rep]).splitlines()[1] == "4,4,R2,0.0625,0.0625,1e-15,1,false"
+    # best above colex is flagged; a witness on support_cap vertices saturates
+    flagged = verifier.VerificationReport(**{**measured, "colex_value": best - Fraction(1, 10**15)})
+    assert (flagged.counterexample, flagged.saturated) == (True, False)
+    assert json.loads(reports_json_text([flagged]))["reports"][0]["counterexample"] is True
+    capped = verifier.VerificationReport(**{**measured, "support_cap": 4})
+    assert (capped.counterexample, capped.saturated) == (False, True)
+    # neither verdict can be passed in
+    for verdict in ("counterexample", "saturated"):
+        with pytest.raises(TypeError):
+            verifier.VerificationReport(**measured, **{verdict: False})
 
 
 def test_csv_header_and_row():
@@ -696,6 +714,15 @@ def test_reports_pinned_bytes_r4():
     )
 
 
+def test_reports_pinned_csv_r4_flag():
+    # the CSV of r=4, m=10..15 at seed 1 in a pool of two workers: its one
+    # flagged row (m=11) and the float columns of every row
+    text = reports_csv_text(verify_many(range(10, 16), 4, VerifyConfig(seed=1, jobs=2)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "01d89bb431108e328fa06e549aa7087fe30b33d24ef22a6312c8b2d1362d7ecd"
+    )
+
+
 def test_reports_pinned_bytes_r4_two_workers():
     # the r=4, t=6 window at seed 1, solved in a pool of two workers
     text = reports_json_text(verify_range(4, 6, VerifyConfig(seed=1, jobs=2)))
@@ -707,10 +734,16 @@ def test_reports_pinned_bytes_r4_two_workers():
 def test_reports_pinned_bytes_r5_tail():
     # r=5, m=12..17 at seed 1 in a pool of two workers: the window where
     # Newton rows leave [-2, 2]^n most often, so the early stops of rows that
-    # leave it or meet an earlier row must leave every report as it was
-    text = reports_json_text(verify_many(range(12, 18), 5, VerifyConfig(seed=1, jobs=2)))
+    # leave it or meet an earlier row must leave every report as it was; its
+    # CSV holds three flagged rows (m=15, 16, 17)
+    reports = verify_many(range(12, 18), 5, VerifyConfig(seed=1, jobs=2))
+    text = reports_json_text(reports)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "0cdd00165f420afa971b08a176d9eb7faa0e83c96009eb12490f7d719cd69902"
+    )
+    text = reports_csv_text(reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "368127c463a407699a1a24704793c8c71d30aac9b401ece6c532b8d0e7efe37c"
     )
 
 

@@ -10,7 +10,8 @@ that differs names the part that moved.  The parts, each at the seeds shown:
   verify_conjecture(m, 3) for m = 1..10; its seed-1 and seed-7 lines are the
   bench's reports_sha256), verify_range(3, 6), verify_range(4, 6),
   verify_many(10..15, 4) and verify_many(12..17, 5), at seeds 1 and 7 with
-  jobs=2: the digest of reports_json_text;
+  jobs=2: the digest of reports_json_text, and on the ten lines printed
+  last, the digest of reports_csv_text of the same reports;
 * colex: maximize(H^{m,r}) for r = 3, 4 and m = 4..35 at 50 starts, seeds
   0 and 1: each result's JSON, one line per m;
 * lambda: `hylag lambda --oracle-n 24 --seed S` on H^{m,3}, m = 21..35,
@@ -46,6 +47,7 @@ from hylag.hypergraph import Hypergraph, binom, colex_segment, left_compress  # 
 from hylag.lagrangian import SolverConfig, maximize  # noqa: E402
 from hylag.verifier import (  # noqa: E402
     VerifyConfig,
+    reports_csv_text,
     reports_json_text,
     verify_conjecture,
     verify_many,
@@ -124,15 +126,18 @@ def _random2029() -> str:
 
 
 def main() -> int:
+    csv = []
     for seed in SEEDS:
         for name, reports in _verify_parts(seed):
             print(f"{_sha(reports_json_text(reports))}  {name} seed {seed}", flush=True)
+            csv.append(f"{_sha(reports_csv_text(reports))}  {name} seed {seed} csv")
     for seed in (0, 1):
         print(f"{_sha(_colex(seed))}  colex r=3,4 m=4..35 seed {seed}", flush=True)
     for seed in SEEDS:
         print(f"{_sha(_lambda(seed))}  lambda --oracle-n 24 m=21..35 seed {seed}", flush=True)
     print(f"{_sha(_random2028())}  random2028", flush=True)
     print(f"{_sha(_random2029())}  random2029", flush=True)
+    print("\n".join(csv), flush=True)
     return 0
 
 
