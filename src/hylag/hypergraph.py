@@ -198,6 +198,8 @@ class Hypergraph:
                     r = int(line[2:])
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: bad uniformity in {raw!r}") from exc
+                if r < 1:
+                    raise ValueError(f"line {lineno}: uniformity r must be >= 1, got {raw!r}")
                 continue
             try:
                 edge = tuple(int(tok) for tok in line.split())
@@ -206,7 +208,19 @@ class Hypergraph:
             edges.append(edge)
         if r is None:
             raise ValueError("missing 'r=<int>' header line")
-        return cls(r, edges)
+        try:
+            return cls(r, edges)
+        except ValueError as exc:
+            # the constructor refused an edge: name the first refused edge's
+            # line (edge lines are the non-blank lines after the header)
+            numbered = [n for n, raw in enumerate(text.splitlines(), start=1)
+                        if raw.split("#", 1)[0].strip()][1:]
+            for lineno, edge in zip(numbered, edges):
+                try:
+                    cls(r, [edge])
+                except ValueError as bad:
+                    raise ValueError(f"line {lineno}: {bad}") from exc
+            raise
 
 
 def colex_segment(m: int, r: int) -> Hypergraph:
@@ -289,18 +303,10 @@ def left_compress(H: Hypergraph) -> Hypergraph:
     Shifts preserve the edge count; the fixpoint is exactly the downset
     condition tested by is_left_compressed.
     """
-    cur = H
-    while True:
-        changed = False
-        n = cur.max_vertex()
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                nxt = apply_shift(cur, i, j)
-                if nxt != cur:
-                    cur = nxt
-                    changed = True
-        if not changed:
-            return cur
+    while not is_left_compressed(H):
+        for i, j in itertools.combinations(range(1, H.max_vertex() + 1), 2):
+            H = apply_shift(H, i, j)
+    return H
 
 
 def _lower_covers(edge: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

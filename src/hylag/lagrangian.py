@@ -518,11 +518,7 @@ def maximize(H: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     over every vertex included (a dropped twin's link is its kept twin's);
     `value` is the float of that exact certificate.
     Deterministic given cfg.seed.  All float work depends only on (C, r,
-    cfg), so graphs with one core get the same rationalized row.  So if G
-    and H are left-compressed (their certificates are always descending)
-    and share a core, maximize(H, cfg) is certify(H, w) with w the positive
-    weights of maximize(G, cfg) padded with zeros to H's labels: the
-    verifier solves each core once per run that way.
+    cfg), so graphs with one core get the same rationalized row.
     """
     cfg = cfg or SolverConfig()
     if len(H) == 0:

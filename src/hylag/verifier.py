@@ -5,16 +5,15 @@ The conjecture under test: lambda(H^{m,r}) = max{lambda(H) : e(H) = m}.
 Compression arguments reduce the search to left-compressed candidates
 (downsets in the domination order) with bounded support, which
 hypergraph.enumerate_left_compressed lists exactly once each.  This module
-classifies each m into its regime, solves every candidate with the run's
-starts and seed, and decides the counterexample flag by exact rational
-comparison of the two sides' rational certificates.  A run solves each
-distinct twin-free core once: a candidate whose core an earlier candidate
-of the run had (at a smaller m) is certified on itself from that solve's
-weights, which gives exactly the result maximize would, so `hylag lambda`
-with the run's starts and seed still replays any witness.  The worker pool
-of a jobs > 1 run is fed one edge count ahead: m's solves are queued
-before m-1's report waits on its own, so workers do not idle between edge
-counts.  Reports still come out in order and byte-identical across jobs.
+classifies each m into its regime, solves each distinct twin-free core once
+per run with the run's starts and seed, and decides the counterexample flag
+by exact rational comparison of the two sides' rational certificates.  The
+solver only proposes each core's weights: every candidate's value and
+weighting come from certify on the candidate itself, exactly the result
+maximize would give, so `hylag lambda` with the run's starts and seed
+replays any witness.  The worker pool of a jobs > 1 run is fed one edge
+count ahead: m's solves are queued before m-1's report waits on its own.
+Reports still come out in order and byte-identical across jobs.
 
 The support cap Tmax is a heuristic (minimal clique order plus a slack); a
 report whose best witness uses all Tmax vertices is marked saturated as a
@@ -222,21 +221,10 @@ class _Inline(Executor):
         return future
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """One m's candidates, their twin-free cores' edges, and the Future of
-    each solve queued for it (candidate index -> Future)."""
-
-    m: int
-    support_cap: int
-    candidates: list
-    cores: list
-    fresh: dict
-
-
-def _submit(m: int, r: int, cfg: VerifyConfig, pool: Executor, solved: dict) -> _Batch:
+def _submit(m: int, r: int, cfg: VerifyConfig, pool: Executor, solved: dict) -> tuple:
     """Enumerate m's candidates and queue maximize on the first candidate of
-    each core not yet in solved, which then maps that core to its Future."""
+    each core not yet in solved, which then maps that core to its Future.
+    Returns (m, support cap, candidates, their cores' edges)."""
     Tmax = minimal_clique_order(m, r) + cfg.support_slack
     if r < 2:
         raise ValueError("verification needs uniformity r >= 2 (r = 1 is degenerate)")
@@ -248,28 +236,24 @@ def _submit(m: int, r: int, cfg: VerifyConfig, pool: Executor, solved: dict) -> 
         )
     cores = [twin_free_core(H).edges for H in candidates]
     solver = SolverConfig(starts=cfg.starts, seed=cfg.seed)
-    fresh = {}
-    for i, core in enumerate(cores):
+    for H, core in zip(candidates, cores):
         if core not in solved:
-            solved[core] = fresh[i] = pool.submit(maximize, candidates[i], solver)
-    return _Batch(m, Tmax, candidates, cores, fresh)
+            solved[core] = pool.submit(maximize, H, solver)
+    return m, Tmax, candidates, cores
 
 
-def _report(batch: _Batch, r: int, cfg: VerifyConfig, solved: dict) -> VerificationReport:
-    """Wait for the batch's solves and build its report.  Each solved core's
-    entry in solved becomes its certificate's positive weights, from which
-    every other candidate with that core is certified on itself."""
-    m, candidates, cores = batch.m, batch.candidates, batch.cores
+def _report(batch: tuple, r: int, cfg: VerifyConfig, solved: dict) -> VerificationReport:
+    """Build the report of one _submit batch.  Every candidate is certified
+    on itself (certify) from its core's positive weights; a core's entry in
+    solved becomes those weights at the first report that reads its solve."""
+    m, Tmax, candidates, cores = batch
 
-    def result(i: int) -> LagrangianResult:
-        if i in batch.fresh:
-            res = batch.fresh[i].result()
-            solved[cores[i]] = tuple(v for v in res.weighting if v > 0)
-            return res
-        H, w = candidates[i], solved[cores[i]]
-        return certify(H, w + (0,) * (H.max_vertex() - len(w)))
-
-    results = [result(i) for i in range(len(candidates))]
+    results = []
+    for H, core in zip(candidates, cores):
+        if isinstance(solved[core], Future):
+            solved[core] = tuple(v for v in solved[core].result().weighting if v > 0)
+        w = solved[core]
+        results.append(certify(H, w + (0,) * (H.max_vertex() - len(w))))
 
     t, regime = classify_regime(m, r)
     if regime == "R1":
@@ -292,7 +276,7 @@ def _report(batch: _Batch, r: int, cfg: VerifyConfig, solved: dict) -> Verificat
         witness=candidates[best_i],
         witness_weighting=best_res.weighting,
         candidates_examined=len(candidates),
-        support_cap=batch.support_cap,
+        support_cap=Tmax,
         seed=cfg.seed,
     )
     if rep.counterexample:
@@ -307,12 +291,16 @@ def verify_many(
 
     The support cap is each m's minimal clique order plus cfg.support_slack.
     Each distinct twin-free core is solved once per call: maximize runs on
-    the first candidate of a core, and every later candidate with that core,
-    at this or a later m, is certified on itself (certify) from that
-    result's weights.  This is byte-identical to solving it: maximize's
-    float work depends only on the core, r and the SolverConfig, and a
-    left-compressed candidate's certificate is always descending.  So
-    `hylag lambda` with the run's starts and seed still replays any witness.
+    the first candidate of a core, and only the positive weights w of its
+    result are kept.  Every candidate with that core, at this or a later m
+    and the first one included, is certified on itself (certify) from w
+    padded with zeros to its labels, so no number in a report is read from
+    the solver's result.  This is byte-identical to solving the candidate:
+    maximize's float work depends only on the core, r and the SolverConfig,
+    so graphs with one core get the same rationalized row, and a
+    left-compressed candidate's certificate is always its descending
+    rearrangement, whose positive entries are w.  So `hylag lambda` with the
+    run's starts and seed still replays any witness.
 
     The solves are queued one m ahead: m's candidates are enumerated and
     its solves submitted before m-1's report waits on its own, so at

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -321,24 +322,46 @@ def test_each_core_solved_once_per_call(monkeypatch):
 
 
 def test_reused_core_gives_the_solvers_result(monkeypatch):
-    # a candidate certified from its core's weights gets exactly the result
-    # maximize gives it: same weighting, value and KKT residuals
-    reused = []
+    # every candidate, the first of its core included, is certified from its
+    # core's weights and gets exactly the result maximize gives it: same
+    # weighting, value and KKT residuals.  The windows and the replays run
+    # in pools of two workers, which halves this test's time
+    certified = []
 
     def recorder(H, y):
         res = lagrangian.certify(H, y)
-        reused.append((H, res))
+        certified.append((H, res))
         return res
 
     monkeypatch.setattr(verifier, "certify", recorder)
-    for r, t in ((3, 6), (4, 6)):
-        for seed in (1, 7):
-            reused.clear()
-            verify_range(r, t, VerifyConfig(seed=seed))
-            assert len(reused) == {3: 68, 4: 17}[r]
-            solver = SolverConfig(seed=seed)
-            for H, res in reused:
-                assert res == maximize(H, solver), (H, seed)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for r, t in ((3, 6), (4, 6)):
+            for seed in (1, 7):
+                certified.clear()
+                verify_range(r, t, VerifyConfig(seed=seed, jobs=2))
+                assert len(certified) == {3: 211, 4: 47}[r]
+                graphs = [H for H, _ in certified]
+                solver = itertools.repeat(SolverConfig(seed=seed))
+                for (H, res), want in zip(certified, pool.map(maximize, graphs, solver)):
+                    assert res == want, (H, seed)
+
+
+def test_misreported_solver_value_moves_no_report(monkeypatch):
+    # a report reads only the weights of a solve: a solver that adds 1 to
+    # its value and reports KKT residuals of 9 leaves every byte as it was
+    cfg = VerifyConfig(starts=12, seed=1)
+
+    def run():
+        return reports_json_text(verify_range(3, 5, cfg) + verify_range(4, 6, cfg))
+
+    honest = run()
+
+    def misreport(H, solver=None):
+        res = maximize(H, solver)
+        return replace(res, value_exact=res.value_exact + 1, kkt_residual=KKTResidual(9.0, 9.0))
+
+    monkeypatch.setattr(verifier, "maximize", misreport)
+    assert run() == honest
 
 
 def test_candidate_cap(monkeypatch):
@@ -694,8 +717,9 @@ def test_reports_pinned_bytes():
 
 
 def test_reports_need_no_grid_oracle(monkeypatch):
-    # a verdict comes from the solver's certificates alone: the same bytes
-    # come back when the grid oracle cannot be called
+    # every candidate's value and weighting come from certify, from the
+    # weights the solver proposes for its core: the same bytes come back
+    # when the grid oracle cannot be called
     def no_oracle(*args, **kwargs):
         raise AssertionError("grid_oracle called")
 
@@ -703,6 +727,20 @@ def test_reports_need_no_grid_oracle(monkeypatch):
     monkeypatch.setattr(verifier, "grid_oracle", no_oracle, raising=False)
     text = reports_json_text(verify_range(3, 5, VerifyConfig(seed=1)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == R3_T5_SEED1_SHA256
+
+
+def test_reports_pinned_bytes_most_core_reuse():
+    # the r=3, t=6 window at seed 1, one worker: 68 of its 211 candidates
+    # share a twin-free core with a candidate at a smaller m
+    reports = verify_range(3, 6, VerifyConfig(seed=1))
+    text = reports_json_text(reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "b04b04154c7000fc1f21dacc7ad2c1cbe02c192021ae56ba9d063a584c0c5bf3"
+    )
+    text = reports_csv_text(reports)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "8247957f949883fd9e4d6eba4a676f9620ebfa3c2910a231a08f780f733aa9f2"
+    )
 
 
 def test_reports_pinned_bytes_r4():

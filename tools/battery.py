@@ -10,8 +10,8 @@ that differs names the part that moved.  The parts, each at the seeds shown:
   verify_conjecture(m, 3) for m = 1..10; its seed-1 and seed-7 lines are the
   bench's reports_sha256), verify_range(3, 6), verify_range(4, 6),
   verify_many(10..15, 4) and verify_many(12..17, 5), at seeds 1 and 7 with
-  jobs=2: the digest of reports_json_text, and on the ten lines printed
-  last, the digest of reports_csv_text of the same reports;
+  jobs=2: the digest of reports_json_text, and on the ten lines before the
+  compress line, the digest of reports_csv_text of the same reports;
 * colex: maximize(H^{m,r}) for r = 3, 4 and m = 4..35 at 50 starts, seeds
   0 and 1: each result's JSON, one line per m;
 * lambda: `hylag lambda --oracle-n 24 --seed S` on H^{m,3}, m = 21..35,
@@ -22,7 +22,10 @@ that differs names the part that moved.  The parts, each at the seeds shown:
 * random2029: maximize on 3,000 graphs drawn with random.Random(2029):
   r in 2..5, n in r+1..8, 1..min(14, C(n, r)) distinct r-sets of [n],
   every third graph (the third, sixth, ...) left-compressed, 4..80 starts,
-  seed in 0..999.
+  seed in 0..999;
+* compress: left_compress(H).to_text() for each of random2029's 3,000
+  graphs, with the same draws, every graph compressed (random2029's digest
+  hashes only maximize's JSON, which does not contain the graph).
 
 It takes about half a minute on 2 cores.
 """
@@ -113,16 +116,21 @@ def _random2028() -> str:
     return "".join(out)
 
 
-def _random2029() -> str:
+def _draws2029():
+    # (graph, solver config) as random2029 draws them, none compressed
     rng = random.Random(2029)
-    out = []
-    for i in range(3000):
+    for _ in range(3000):
         H = _random_graph(rng, range(2, 6), 8, 14)
-        if i % 3 == 2:
-            H = left_compress(H)
-        cfg = SolverConfig(starts=rng.randint(4, 80), seed=rng.randrange(1000))
-        out.append(_result_line(maximize(H, cfg)))
-    return "".join(out)
+        yield H, SolverConfig(starts=rng.randint(4, 80), seed=rng.randrange(1000))
+
+
+def _random2029() -> str:
+    return "".join(_result_line(maximize(left_compress(H) if i % 3 == 2 else H, cfg))
+                   for i, (H, cfg) in enumerate(_draws2029()))
+
+
+def _compress() -> str:
+    return "".join(left_compress(H).to_text() for H, _ in _draws2029())
 
 
 def main() -> int:
@@ -138,6 +146,7 @@ def main() -> int:
     print(f"{_sha(_random2028())}  random2028", flush=True)
     print(f"{_sha(_random2029())}  random2029", flush=True)
     print("\n".join(csv), flush=True)
+    print(f"{_sha(_compress())}  compress random2029 graphs", flush=True)
     return 0
 
 
